@@ -70,11 +70,9 @@ from repro.analysis.experiments import (
     trend_scenario_row,
 )
 from repro.analysis.runner import (
-    add_boot_tap,
-    add_run_tap,
+    describe_run,
+    observing_runs,
     overhead_percent,
-    remove_boot_tap,
-    remove_run_tap,
     run_workload,
 )
 from repro.common.digest import package_digest
@@ -178,7 +176,7 @@ def _run_fleet_machine(params):
     allocation :class:`~repro.core.sampling.SamplingPolicy` the monitor
     runs in sampled production mode; with ``sample_every`` the machine
     also runs the sampling profiler + alert engine.  Either way the run
-    tap's registry dump carries ``safemem.sampling.*`` /
+    observer's registry dump carries ``safemem.sampling.*`` /
     ``sampler.*`` / ``alerts.*`` metrics into the fleet merge
     (counters sum, giving fleet-wide totals).
     """
@@ -189,14 +187,12 @@ def _run_fleet_machine(params):
     if config.wants_checkpoints:
         # The checkpoint scheduler records the run description in each
         # checkpoint document.  Forensic dumps in fleet mode are armed
-        # by run_jobs' boot tap, not by the stack, so strip the dump
-        # config here -- otherwise run_info would arm a second
+        # by run_jobs' run observer, not by the stack, so strip the
+        # dump config here -- otherwise run_info would arm a second
         # recorder.
-        run_info = {"workload": params["workload"],
-                    "monitor": params["monitor"],
-                    "buggy": params["buggy"],
-                    "requests": params["requests"],
-                    "seed": params["seed"]}
+        run_info = describe_run(params["workload"], params["monitor"],
+                                params["buggy"], params["requests"],
+                                params["seed"])
         config = replace(config, dump_dir=None, dump_on_alert=False)
     if config.sampling is not None or config.wants_profiler \
             or config.stream is not None or config.wants_checkpoints \
@@ -477,11 +473,11 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
     """Run one job; returns (ident, payload, dumps, bundles, error).
 
     Top-level so it pickles under any multiprocessing start method.  A
-    run tap captures every machine the job boots (each ``run_workload``
-    call builds a fresh machine, so absolute registry state is per-run
-    state and the dumps never double count).
+    run observer captures every machine the job boots (each
+    ``run_workload`` call builds a fresh machine, so absolute registry
+    state is per-run state and the dumps never double count).
 
-    With ``dump_dir`` set, a boot tap additionally attaches a
+    With ``dump_dir`` set, the observer additionally attaches a
     :class:`~repro.obs.forensics.ForensicRecorder` to every machine the
     job boots: a kernel PANIC (and, with ``dump_on_alert``, any alert
     reaching ``firing``) auto-writes a ``repro.dump/v1`` bundle there,
@@ -490,42 +486,22 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
     kind, ident, params = spec
     dumps = []
     recorders = []
-    tap = add_run_tap(
-        lambda result: dumps.append(dump_registry(result.machine.metrics))
-    )
-    boot_tap = None
+    on_boot = None
     if dump_dir is not None:
         from repro.obs.forensics import ForensicRecorder
+        stacked = params.get("stack") if isinstance(params, dict) else None
+        monitoring = (MonitorStackConfig.from_dict(stacked)
+                      .monitoring_dict() if stacked else {})
 
-        def _attach_recorder(machine, monitor, run_info):
+        def on_boot(machine, monitor, run_info):
             info = dict(run_info)
-            stacked = (params.get("stack")
-                       if isinstance(params, dict) else None)
-            if stacked and stacked.get("monitor") == info.get("monitor"):
-                # Record the monitoring stack so replay recreates it:
-                # the alert engine's ALERT events and the allocation
-                # sampler's heap routing are both part of the stream a
-                # bit-exact replay must reproduce.  (The guard skips
-                # the machine's native overhead twin.)
-                config = MonitorStackConfig.from_dict(stacked)
-                monitoring = {}
-                if config.wants_profiler:
-                    from repro.obs.alerts import resolve_rules
-                    monitoring["sample_every"] = config.sample_every
-                    monitoring["rules"] = [
-                        rule.to_dict()
-                        for rule in resolve_rules(config.rules)
-                    ]
-                if config.sampling is not None:
-                    monitoring["sampling"] = config.sampling.to_dict()
-                if config.wants_trend:
-                    from repro.obs.trend import DEFAULT_WINDOW
-                    monitoring["trend"] = {
-                        "detector": config.trend,
-                        "window": config.trend_window or DEFAULT_WINDOW,
-                    }
-                if monitoring:
-                    info["monitoring"] = monitoring
+            if monitoring and stacked["monitor"] == info["monitor"]:
+                # Record the monitoring stack so replay rebuilds it:
+                # its ALERT/TREND events and the allocation sampler's
+                # heap routing are part of the stream a bit-exact
+                # replay must reproduce.  (The guard skips the
+                # machine's native overhead twin.)
+                info["monitoring"] = monitoring
             label = ident.replace(":", "-")
             recorders.append(ForensicRecorder(
                 machine, monitor=monitor, run_info=info,
@@ -533,9 +509,12 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
                 on_alert=dump_on_alert,
             ))
 
-        boot_tap = add_boot_tap(_attach_recorder)
+    def on_finish(result):
+        dumps.append(dump_registry(result.machine.metrics))
+
     try:
-        payload = JOB_KINDS[kind].run(params)
+        with observing_runs(on_boot=on_boot, on_finish=on_finish):
+            payload = JOB_KINDS[kind].run(params)
         encoded = JOB_KINDS[kind].encode(payload)
         bundles = _collect_bundles(recorders)
         if kind == "fleet-machine" and bundles:
@@ -547,9 +526,6 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
         return (ident, None, dumps, _collect_bundles(recorders),
                 f"{type(error).__name__}: {error}")
     finally:
-        remove_run_tap(tap)
-        if boot_tap is not None:
-            remove_boot_tap(boot_tap)
         for recorder in recorders:
             recorder.detach()
 

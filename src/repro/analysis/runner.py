@@ -1,5 +1,6 @@
 """Experiment runner: drive a workload under a monitor, collect results."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.baselines.pageprot import PageProtGuard
@@ -52,42 +53,50 @@ class RunResult:
         return self.cycles / CYCLES_PER_SECOND
 
 
-#: observers called with every finished :class:`RunResult`.  The fleet
-#: scheduler installs a tap in each worker process to accumulate the
-#: telemetry of every machine its jobs boot (the machines themselves
-#: never cross the process boundary; their registry dumps do).
-_RUN_TAPS = []
+#: ``(on_boot, on_finish)`` observers of every :func:`run_workload`
+#: call, installed with :func:`observing_runs`.
+_OBSERVERS = []
 
 
-def add_run_tap(tap):
-    """Register ``tap(result)`` to observe every finished run."""
-    _RUN_TAPS.append(tap)
-    return tap
+@contextmanager
+def observing_runs(on_boot=None, on_finish=None):
+    """Observe every :func:`run_workload` call made inside the block.
+
+    ``on_boot(machine, monitor, run_info)`` runs as each run starts --
+    after the program is mapped, before the first request -- with the
+    :func:`describe_run` dict a ``repro.dump/v1`` bundle needs to make
+    the run replayable.  ``on_finish(result)`` sees each finished
+    :class:`RunResult`.  The fleet scheduler uses both in its worker
+    processes: the boot side attaches a forensic recorder to every
+    machine a validation shard boots, however deep in an experiment
+    the boot happens; the finish side collects each machine's
+    telemetry (the machines never cross the process boundary; their
+    registry dumps do).
+    """
+    observer = (on_boot, on_finish)
+    _OBSERVERS.append(observer)
+    try:
+        yield
+    finally:
+        _OBSERVERS.remove(observer)
 
 
-def remove_run_tap(tap):
-    """Unregister a tap installed with :func:`add_run_tap`."""
-    _RUN_TAPS.remove(tap)
+def describe_run(workload, monitor, buggy=False, requests=None, seed=0,
+                 heap_size=HEAP_SIZE):
+    """The ``run`` dict bundles and checkpoints record.
 
-
-#: observers called with ``(machine, monitor, run_info)`` as each run
-#: starts -- before the workload's first request, after the program is
-#: mapped.  Forensic auto-dump uses this to attach a recorder to every
-#: machine a validation shard boots, however deep in an experiment the
-#: boot happens; ``run_info`` carries exactly the fields a
-#: ``repro.dump/v1`` bundle needs to make the run replayable.
-_BOOT_TAPS = []
-
-
-def add_boot_tap(tap):
-    """Register ``tap(machine, monitor, run_info)`` on run start."""
-    _BOOT_TAPS.append(tap)
-    return tap
-
-
-def remove_boot_tap(tap):
-    """Unregister a tap installed with :func:`add_boot_tap`."""
-    _BOOT_TAPS.remove(tap)
+    Everything :func:`~repro.obs.forensics.replay_bundle` and
+    :func:`~repro.obs.checkpoint.resume_checkpoint` need to re-drive
+    the run; the monitoring stack adds its ``monitoring`` dict.
+    """
+    return {
+        "workload": workload,
+        "monitor": monitor,
+        "buggy": buggy,
+        "requests": requests,
+        "seed": seed,
+        "heap_size": heap_size,
+    }
 
 
 MONITOR_FACTORIES = {
@@ -172,17 +181,12 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
     start = machine.metrics.snapshot()
     program = Program(machine, monitor=monitor, heap_size=heap_size)
     workload = get_workload(workload_name, requests=requests, seed=seed)
-    if _BOOT_TAPS:
-        run_info = {
-            "workload": workload_name,
-            "monitor": monitor_name,
-            "buggy": buggy,
-            "requests": workload.requests,
-            "seed": seed,
-            "heap_size": heap_size,
-        }
-        for tap in _BOOT_TAPS:
-            tap(machine, monitor, run_info)
+    if _OBSERVERS:
+        run_info = describe_run(workload_name, monitor_name, buggy,
+                                workload.requests, seed, heap_size)
+        for on_boot, _ in list(_OBSERVERS):
+            if on_boot is not None:
+                on_boot(machine, monitor, run_info)
     with machine.tracer.span(f"workload.{workload_name}",
                              monitor=monitor_name, buggy=buggy):
         truth = workload.run(program, buggy=buggy,
@@ -202,8 +206,9 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
         requests=workload.requests,
         metrics=end.delta(start),
     )
-    for tap in _RUN_TAPS:
-        tap(result)
+    for _, on_finish in list(_OBSERVERS):
+        if on_finish is not None:
+            on_finish(result)
     return result
 
 

@@ -283,12 +283,3 @@ class Purify(Monitor):
         )
         self.corruption_reports.append(report)
         raise MonitorError(report)
-
-    def statistics(self):
-        return {
-            "access_checks": self.access_checks,
-            "sweeps": self.sweeps,
-            "words_swept": self.words_swept,
-            "corruption_reports": len(self.corruption_reports),
-            "leak_reports": len(self.leak_reports),
-        }

@@ -66,6 +66,7 @@ from repro.analysis.experiments import (
 from repro.analysis.report import generate_report
 from repro.analysis.runner import (
     MONITOR_FACTORIES,
+    describe_run,
     overhead_percent,
     run_workload,
     slowdown_factor,
@@ -451,13 +452,8 @@ def _write_stack_outputs(stack, args, out):
 
 def _stack_run_info(args, config):
     """The replayable run description a forensic bundle records."""
-    return {
-        "workload": args.workload,
-        "monitor": config.monitor,
-        "buggy": args.buggy,
-        "requests": args.requests,
-        "seed": args.seed,
-    }
+    return describe_run(args.workload, config.monitor, args.buggy,
+                        args.requests, args.seed)
 
 
 def command_run(args, out):

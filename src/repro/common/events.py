@@ -13,12 +13,10 @@ Consumers have two supported access paths:
   callback at emit time, so detectors and the tracer never re-scan the
   log looking for what just happened.
 
-Iterating the log directly (``for event in log``) is deprecated in
-favour of ``query()``; full scans were the pattern that made every
-consumer O(total events).
+The log is deliberately not iterable: full scans were the pattern
+that made every consumer O(total events).
 """
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -155,19 +153,10 @@ class EventLog:
         self._by_kind.clear()
 
     # ------------------------------------------------------------------
-    # size / deprecated direct access
+    # size
     # ------------------------------------------------------------------
     def __len__(self):
         return len(self._events)
-
-    def __iter__(self):
-        warnings.warn(
-            "iterating EventLog directly is deprecated; use "
-            "EventLog.query() (optionally with kind=/since_cycle=)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return iter(list(self._events))
 
 
 def _first_at_or_after(events, cycle):

@@ -16,32 +16,13 @@ computation -- the properties that keep its overhead at production-run
 levels (Table 3).
 """
 
-import warnings
-
 from repro.common.constants import CACHE_LINE_SIZE, align_up
 from repro.core.config import SafeMemConfig
 from repro.core.corruption import CorruptionDetector
 from repro.core.leak import LeakDetector
 from repro.core.watcher import EccWatchManager
-from repro.machine.machine import PERF_COUNTER_METRICS
 from repro.machine.monitor import Monitor
 from repro.obs.metrics import MetricsRegistry
-
-#: Legacy ``statistics()`` key -> registry metric name (the watcher,
-#: leak, and corruption slices; perf-counter keys come from
-#: :data:`~repro.machine.machine.PERF_COUNTER_METRICS`).
-STATISTICS_METRICS = {
-    "watch_arms": "safemem.watch.arms",
-    "watch_disarms": "safemem.watch.disarms",
-    "pin_failures": "safemem.watch.pin_failures",
-    "hardware_errors_repaired": "safemem.watch.hw_repaired",
-    "leak_reports": "safemem.leak.reports",
-    "pruned_suspects": "safemem.leak.pruned",
-    "suspects_flagged": "safemem.leak.suspects",
-    "groups": "safemem.leak.groups",
-    "corruption_reports": "safemem.corruption.reports",
-}
-
 
 class SafeMem(Monitor):
     """Production-run leak and corruption detector."""
@@ -279,56 +260,11 @@ class SafeMem(Monitor):
         """Cycle-stamped :class:`~repro.obs.metrics.Snapshot` of every
         registered metric on the attached machine.
 
-        The replacement for the old flat ``statistics()`` dict: read
-        named metrics from ``snapshot.values`` (``safemem.*`` for this
-        monitor's slice; the namespace is documented in
+        Read named metrics from ``snapshot.values`` (``safemem.*`` for
+        this monitor's slice; the namespace is documented in
         docs/OBSERVABILITY.md).  Safe to call before attach, when it
         returns an empty snapshot.
         """
         if self.program is None:
             return MetricsRegistry().snapshot()
         return self.program.machine.metrics.snapshot()
-
-    def statistics(self):
-        """Deprecated flat summary dict; use :meth:`telemetry`.
-
-        Kept as a versioned view over the metrics registry: every key
-        maps onto a registered metric (see :data:`STATISTICS_METRICS`),
-        so the legacy keys and values are bit-identical to the historic
-        hand-rolled dict.
-        """
-        warnings.warn(
-            "SafeMem.statistics() is deprecated; use SafeMem.telemetry() "
-            "and read the safemem.* names instead (see "
-            "docs/OBSERVABILITY.md#metric-namespace, and "
-            "STATISTICS_METRICS for the key-to-metric mapping)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        snap = self.telemetry()
-
-        def value(name):
-            return snap.values.get(name, 0)
-
-        stats = {
-            "watch_arms": value("safemem.watch.arms"),
-            "watch_disarms": value("safemem.watch.disarms"),
-            "pin_failures": value("safemem.watch.pin_failures"),
-            "hardware_errors_repaired": value("safemem.watch.hw_repaired"),
-            "space_overhead": self.space_overhead_fraction(),
-        }
-        if self.program is not None:
-            stats.update({
-                key: value(name)
-                for key, name in PERF_COUNTER_METRICS.items()
-            })
-        if self.leak is not None:
-            stats.update(
-                leak_reports=value("safemem.leak.reports"),
-                pruned_suspects=value("safemem.leak.pruned"),
-                suspects_flagged=value("safemem.leak.suspects"),
-                groups=value("safemem.leak.groups"),
-            )
-        if self.corruption is not None:
-            stats["corruption_reports"] = value("safemem.corruption.reports")
-        return stats

@@ -7,7 +7,6 @@ a user-handled ECC fault, modelling the interrupted-and-resumed
 instruction of real hardware.
 """
 
-import warnings
 
 from repro.cache.cache import Cache
 from repro.common.clock import VirtualClock
@@ -45,25 +44,6 @@ MAX_FAULT_RETRIES = 8
 
 def _retry_budget(size):
     return MAX_FAULT_RETRIES + size // CACHE_LINE_SIZE + 1
-
-
-#: Legacy ``perf_counters()`` key -> registry metric name.  The shim
-#: (and any migration off it) reads from this single source of truth.
-PERF_COUNTER_METRICS = {
-    "tlb_hits": "mmu.tlb.hit",
-    "tlb_misses": "mmu.tlb.miss",
-    "tlb_invalidations": "mmu.tlb.invalidation",
-    "tlb_flushes": "mmu.tlb.flush",
-    "fast_loads": "machine.load.fast",
-    "fast_stores": "machine.store.fast",
-    "slow_loads": "machine.load.slow",
-    "slow_stores": "machine.store.slow",
-    "batched_loads": "machine.load.batched",
-    "batched_stores": "machine.store.batched",
-    "ecc_clean_line_reads": "ecc.codec.clean_line_reads",
-    "ecc_group_decodes": "ecc.codec.group_decodes",
-    "ecc_batched_line_writes": "ecc.codec.lines_batched",
-}
 
 
 class Machine:
@@ -195,26 +175,6 @@ class Machine:
 
     def _on_watch_registry_change(self, registry):
         self._fast_path_enabled = registry.armed_line_count == 0
-
-    def perf_counters(self):
-        """Deprecated flat counter dict; use ``machine.metrics``.
-
-        Kept as a versioned view over the registry so old callers keep
-        working: every key maps onto a registered metric (see
-        :data:`PERF_COUNTER_METRICS`).
-        """
-        warnings.warn(
-            "Machine.perf_counters() is deprecated; use the registry "
-            "snapshot Machine.metrics.snapshot() instead (see "
-            "docs/OBSERVABILITY.md#reading-metrics, and "
-            "PERF_COUNTER_METRICS for the key-to-metric mapping)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            key: self.metrics.value(name)
-            for key, name in PERF_COUNTER_METRICS.items()
-        }
 
     # ------------------------------------------------------------------
     # program-visible memory access

@@ -198,11 +198,8 @@ class AlertTransition:
 class AlertEngine:
     """Evaluates a rule set against each sample; owns the state machines.
 
-    Wire it as a profiler listener::
-
-        engine = AlertEngine(default_rules(), events=machine.events,
-                             metrics=machine.metrics)
-        sampler.add_listener(engine.evaluate)
+    :func:`~repro.obs.stack.wire_monitoring` builds it and installs
+    :meth:`evaluate` as a profiler listener, after the trend engine's.
     """
 
     def __init__(self, rules, events=None, metrics=None,

@@ -18,7 +18,11 @@ requests, where no span is mid-flight and no allocation is half done:
   behaves bit-identically with checkpointing on or off;
 - :func:`resume_checkpoint` implements **reconstructive restore**: the
   simulation has no wall clock and no unseeded randomness, so resume
-  re-executes the recorded run from its seed, *verifies* the
+  re-executes the recorded run from its seed -- on a stack rebuilt
+  from the recorded ``run.monitoring`` dict by
+  :func:`~repro.obs.stack.wire_monitoring`, through the
+  :func:`~repro.obs.forensics.rerun_recorded` driver bundle replay
+  shares -- *verifies* the
   reconstructed state against the checkpoint at the recorded request
   boundary (every top-level section must match bit-exactly, DRAM via
   SHA-256 digests), and then continues to the requested horizon.  The
@@ -35,7 +39,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
-from repro.common.errors import ConfigurationError, MachinePanic
+from repro.common.errors import ConfigurationError
 from repro.obs.export import snapshot_document
 from repro.obs.forensics import (
     EVENT_TAIL_LIMIT,
@@ -43,8 +47,10 @@ from repro.obs.forensics import (
     HEAP_MAP_LIMIT,
     _heap_map,
     _safe_label,
+    boot_recorded,
     event_to_dict,
-    machine_from_config,
+    recorded_run,
+    rerun_recorded,
 )
 from repro.obs.sampler import group_stats
 
@@ -280,63 +286,6 @@ class ResumeResult:
     panic: object = None
 
 
-def build_monitoring_from_info(machine, monitor, monitoring):
-    """Recreate sampler/trend/alerts/history from a recorded
-    ``monitoring`` dict (the one :meth:`MonitorStack.monitoring_info`
-    writes into run_info).  Returns a dict of live components with the
-    sampler already started; listener order matches
-    :func:`~repro.obs.stack.build_monitor_stack` exactly, which the
-    bit-exact contract depends on.
-    """
-    from repro.obs.alerts import AlertEngine, AlertRule
-    from repro.obs.sampler import SamplingProfiler, leak_group_source
-
-    components = {"sampler": None, "engine": None, "trend": None,
-                  "history": None}
-    if not monitoring.get("sample_every"):
-        return components
-    sampler = SamplingProfiler(
-        machine, interval_cycles=monitoring["sample_every"],
-        group_source=leak_group_source(monitor),
-    )
-    components["sampler"] = sampler
-    trend = None
-    trend_info = monitoring.get("trend")
-    if trend_info:
-        from repro.obs.trend import (
-            DEFAULT_SEASONAL_PHASES,
-            DEFAULT_SEASONAL_WARMUP,
-            DEFAULT_WINDOW,
-            TrendEngine,
-        )
-        trend = TrendEngine(
-            machine,
-            window=trend_info.get("window") or DEFAULT_WINDOW,
-            seasonal_period=trend_info.get("seasonal_period"),
-            seasonal_phases=(trend_info.get("seasonal_phases")
-                             or DEFAULT_SEASONAL_PHASES),
-            seasonal_warmup=(trend_info.get("seasonal_warmup")
-                             or DEFAULT_SEASONAL_WARMUP),
-        )
-        components["trend"] = trend
-        sampler.add_listener(trend.observe)
-    rules = [AlertRule.from_dict(spec)
-             for spec in monitoring.get("rules", [])]
-    if rules:
-        engine = AlertEngine(rules, events=machine.events,
-                             metrics=machine.metrics,
-                             trend_source=trend)
-        components["engine"] = engine
-        sampler.add_listener(engine.evaluate)
-    if monitoring.get("history"):
-        from repro.obs.history import HistoryStore
-        history = HistoryStore(metrics=machine.metrics)
-        components["history"] = history
-        sampler.add_listener(history.observe)
-    sampler.start()
-    return components
-
-
 def resume_checkpoint(checkpoint, requests=None, verify=True):
     """Resume a checkpointed run: re-execute, verify, continue.
 
@@ -346,16 +295,7 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
     recorded request boundary when ``verify`` is on, and continues to
     ``requests`` total requests (default: the recorded horizon).
     """
-    from repro.analysis.runner import HEAP_SIZE, make_monitor
-    from repro.machine.program import Program
-    from repro.workloads.registry import get_workload
-
-    run = dict(checkpoint.get("run") or {})
-    if "workload" not in run or "monitor" not in run:
-        raise ConfigurationError(
-            "checkpoint records no run (workload/monitor); it was "
-            "captured without run_info and cannot be resumed"
-        )
+    run = recorded_run(checkpoint, "checkpoint", "resumed")
     boundary = (checkpoint.get("progress") or {}).get("request_index")
     if verify and boundary is None:
         raise ConfigurationError(
@@ -370,53 +310,30 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
             f"{boundary} but the resumed run stops after {target} "
             f"request(s)"
         )
-    machine = machine_from_config(checkpoint.get("machine"))
-    monitoring = dict(run.get("monitoring") or {})
-    sampling = monitoring.get("sampling")
-    if sampling is not None:
-        from repro.core.sampling import SamplingPolicy
-        sampling = SamplingPolicy.from_dict(sampling)
-    monitor = make_monitor(run["monitor"], sampling=sampling)
-    components = build_monitoring_from_info(machine, monitor, monitoring)
-
+    stack = boot_recorded(checkpoint, run)
     state = {"verified": None, "message": "verification disabled"}
 
     def _hook(index, truth):
         if not verify or index != boundary:
             return
         fresh = capture_checkpoint(
-            machine, monitor=monitor, run_info=run,
-            request_index=index, sampler=components["sampler"],
-            engine=components["engine"], trend=components["trend"],
-            history=components["history"],
+            stack.machine, monitor=stack.monitor, run_info=run,
+            request_index=index, sampler=stack.sampler,
+            engine=stack.engine, trend=stack.trend,
+            history=stack.history,
         )
         ok, message = compare_checkpoints(checkpoint, fresh)
         state["verified"] = ok
         state["message"] = message
 
-    truth = panic = None
-    try:
-        program = Program(machine, monitor=monitor,
-                          heap_size=run.get("heap_size", HEAP_SIZE))
-        workload = get_workload(run["workload"], requests=target,
-                                seed=run.get("seed", 0))
-        with machine.tracer.span(f"workload.{run['workload']}",
-                                 monitor=run["monitor"],
-                                 buggy=run.get("buggy", False)):
-            truth = workload.run(program, buggy=run.get("buggy", False),
-                                 request_hook=_hook)
-    except MachinePanic as error:
-        panic = str(error)
-    finally:
-        if components["sampler"] is not None:
-            components["sampler"].stop()
-
+    truth, panic = rerun_recorded(stack, run, requests=target,
+                                  request_hook=_hook)
     return ResumeResult(
-        machine=machine,
-        monitor=monitor,
-        program=getattr(monitor, "program", None),
+        machine=stack.machine,
+        monitor=stack.monitor,
+        program=stack.monitor.program,
         truth=truth,
-        events=machine.events.query(),
+        events=stack.machine.events.query(),
         checkpoint_cycle=checkpoint.get("cycle", 0),
         verified=state["verified"],
         verify_message=state["message"],

@@ -19,7 +19,10 @@ process.  This module makes that state durable and re-drivable:
   wall-clock and no unseeded randomness, so replay is **bit-exact** --
   to an optional breakpoint (``--until-cycle N`` /
   ``--break-on <event-kind|address>``) and returns the live machine for
-  state inspection;
+  state inspection.  The monitoring stack is rebuilt from the recorded
+  ``run.monitoring`` dict by :func:`~repro.obs.stack.wire_monitoring`,
+  the same function that wired the live run, and the workload goes
+  through :func:`rerun_recorded`, which checkpoint resume shares;
 - :func:`verify_replay` checks a replay's event stream against the
   bundle's recorded tail (the differential pin);
 - :func:`diff_documents` compares two bundles or ``repro.metrics/v1``
@@ -108,12 +111,13 @@ def capture_bundle(machine, monitor=None, run_info=None, reason="manual",
                    trend=None):
     """Freeze one machine (and its attached monitor) into a bundle dict.
 
-    ``run_info`` records how to re-drive the run (workload / monitor /
-    buggy / requests / seed / heap_size, plus an optional ``monitoring``
-    sub-dict with ``sample_every`` and serialized alert rules); without
-    it the bundle is inspectable but not replayable.  ``trend`` is the
-    run's :class:`~repro.obs.trend.TrendEngine`, whose per-series
-    verdicts land under the bundle's ``trends`` key.
+    ``run_info`` records how to re-drive the run (a
+    :func:`~repro.analysis.runner.describe_run` dict plus, for a
+    monitored run, the stack's ``monitoring`` dict -- see
+    :meth:`~repro.obs.stack.MonitorStackConfig.monitoring_dict`);
+    without it the bundle is inspectable but not replayable.
+    ``trend`` is the run's :class:`~repro.obs.trend.TrendEngine`, whose
+    per-series verdicts land under the bundle's ``trends`` key.
     """
     cycle = machine.clock.cycles
     snapshot = machine.metrics.snapshot()
@@ -333,6 +337,68 @@ class ReplayResult:
     panic: object = None
 
 
+def recorded_run(document, noun, verb):
+    """A bundle's or checkpoint's ``run`` dict, checked re-drivable."""
+    run = dict(document.get("run") or {})
+    if "workload" not in run or "monitor" not in run:
+        raise ConfigurationError(
+            f"{noun} records no run (workload/monitor); it was captured "
+            f"without run_info and cannot be {verb}"
+        )
+    return run
+
+
+def boot_recorded(document, run):
+    """Boot the machine, monitor and monitoring stack ``run`` ran on.
+
+    The machine comes from the document's recorded ``machine`` dict
+    and the stack from :func:`~repro.obs.stack.wire_monitoring` over
+    ``run["monitoring"]`` -- the wiring the live run itself used.  The
+    stack comes back started, as a live one is before its program is
+    mapped: a replay breakpoint timer armed afterwards then fires after
+    the sampler's at the same cycle, as the live run's observers did.
+    :func:`rerun_recorded` drives the run and stops the stack.
+    """
+    from repro.analysis.runner import make_monitor
+    from repro.obs.stack import wire_monitoring
+
+    machine = machine_from_config(document.get("machine"))
+    monitoring = run.get("monitoring") or {}
+    sampling = monitoring.get("sampling")
+    if sampling is not None:
+        from repro.core.sampling import SamplingPolicy
+        sampling = SamplingPolicy.from_dict(sampling)
+    monitor = make_monitor(run["monitor"], sampling=sampling)
+    return wire_monitoring(machine, monitor, monitoring).start()
+
+
+def rerun_recorded(stack, run, requests=None, request_hook=None):
+    """Re-drive a recorded run on a started stack: ``(truth, panic)``.
+
+    Shared by replay and resume.  The run goes through
+    :func:`~repro.analysis.runner.run_workload`, the driver live runs
+    use, from its recorded seed; ``requests`` overrides the recorded
+    horizon.  A kernel panic comes back as its message (``truth`` is
+    then None); the sampler always stops.
+    """
+    from repro.analysis.runner import HEAP_SIZE, run_workload
+
+    try:
+        result = run_workload(
+            run["workload"], run["monitor"], buggy=run.get("buggy", False),
+            requests=(requests if requests is not None
+                      else run.get("requests")),
+            seed=run.get("seed", 0), machine=stack.machine,
+            monitor=stack.monitor,
+            heap_size=run.get("heap_size", HEAP_SIZE),
+            request_hook=request_hook)
+    except MachinePanic as error:
+        return None, str(error)
+    finally:
+        stack.stop()
+    return result.truth, None
+
+
 def replay_bundle(bundle, until_cycle=None, break_on=None):
     """Re-run a bundle's recorded workload from its seed, bit-exactly.
 
@@ -343,69 +409,9 @@ def replay_bundle(bundle, until_cycle=None, break_on=None):
     replay of a panicked run re-panics identically; the panic is
     caught and reported on the result.
     """
-    from repro.analysis.runner import HEAP_SIZE, make_monitor
-    from repro.machine.program import Program
-    from repro.workloads.registry import get_workload
-
-    run = dict(bundle.get("run") or {})
-    if "workload" not in run or "monitor" not in run:
-        raise ConfigurationError(
-            "bundle records no run (workload/monitor); it was captured "
-            "without run_info and cannot be replayed"
-        )
-    machine = machine_from_config(bundle.get("machine"))
-    monitoring = dict(run.get("monitoring") or {})
-    sampling = monitoring.get("sampling")
-    if sampling is not None:
-        from repro.core.sampling import SamplingPolicy
-        sampling = SamplingPolicy.from_dict(sampling)
-    monitor = make_monitor(run["monitor"], sampling=sampling)
-
-    # Recreate the monitoring stack the original run carried: the alert
-    # engine emits ALERT events and the allocation sampler steers the
-    # heap layout, so leaving either out would change the replayed
-    # event stream.
-    sampler = None
-    if monitoring.get("sample_every"):
-        from repro.obs.alerts import AlertEngine, AlertRule
-        from repro.obs.sampler import SamplingProfiler, leak_group_source
-        sampler = SamplingProfiler(
-            machine, interval_cycles=monitoring["sample_every"],
-            group_source=leak_group_source(monitor),
-        )
-        trend = None
-        trend_info = monitoring.get("trend")
-        if trend_info:
-            # The trend engine emits TREND events into the log, so a
-            # bundle captured with one only replays bit-exactly when
-            # the replay runs the same engine in the same listener slot
-            # -- including any seasonal baseline the original carried,
-            # which gates and shifts what the detectors see.
-            from repro.obs.trend import (
-                DEFAULT_SEASONAL_PHASES,
-                DEFAULT_SEASONAL_WARMUP,
-                DEFAULT_WINDOW,
-                TrendEngine,
-            )
-            trend = TrendEngine(
-                machine,
-                window=trend_info.get("window") or DEFAULT_WINDOW,
-                seasonal_period=trend_info.get("seasonal_period"),
-                seasonal_phases=(trend_info.get("seasonal_phases")
-                                 or DEFAULT_SEASONAL_PHASES),
-                seasonal_warmup=(trend_info.get("seasonal_warmup")
-                                 or DEFAULT_SEASONAL_WARMUP),
-            )
-            sampler.add_listener(trend.observe)
-        rules = [AlertRule.from_dict(spec)
-                 for spec in monitoring.get("rules", [])]
-        if rules:
-            engine = AlertEngine(rules, events=machine.events,
-                                 metrics=machine.metrics,
-                                 trend_source=trend)
-            sampler.add_listener(engine.evaluate)
-        sampler.start()
-
+    run = recorded_run(bundle, "bundle", "replayed")
+    stack = boot_recorded(bundle, run)
+    machine = stack.machine
     state = {"break_index": None, "break_cycle": None}
 
     def _break(cycle):
@@ -440,27 +446,15 @@ def replay_bundle(bundle, until_cycle=None, break_on=None):
 
     truth = panic = None
     try:
-        program = Program(machine, monitor=monitor,
-                          heap_size=run.get("heap_size", HEAP_SIZE))
-        workload = get_workload(run["workload"],
-                                requests=run.get("requests"),
-                                seed=run.get("seed", 0))
-        with machine.tracer.span(f"workload.{run['workload']}",
-                                 monitor=run["monitor"],
-                                 buggy=run.get("buggy", False)):
-            truth = workload.run(program, buggy=run.get("buggy", False))
+        truth, panic = rerun_recorded(stack, run)
     except ReplayBreak:
         pass
-    except MachinePanic as error:
-        panic = str(error)
     except ReproError:
         # A break raised mid-request can surface as a teardown error
         # during unwind; the breakpoint state is already recorded.
         if state["break_index"] is None:
             raise
     finally:
-        if sampler is not None:
-            sampler.stop()
         if timer is not None:
             machine.clock.cancel(timer)
         for token in tokens:
@@ -472,8 +466,8 @@ def replay_bundle(bundle, until_cycle=None, break_on=None):
         events = events[:state["break_index"]]
     return ReplayResult(
         machine=machine,
-        monitor=monitor,
-        program=getattr(monitor, "program", None),
+        monitor=stack.monitor,
+        program=stack.monitor.program,
         truth=truth,
         events=events,
         broke=broke,

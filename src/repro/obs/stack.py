@@ -1,4 +1,4 @@
-"""The monitor stack: one config, one factory, every front door.
+"""The monitor stack: one config, one recorded description, one wiring.
 
 Before this module, ``repro monitor``, ``repro fleet``, ``repro
 validate``, and ``repro run`` each hand-copied a flag set and
@@ -12,6 +12,14 @@ description of a production monitoring stack:
 - :func:`add_monitoring_arguments` -- the single argparse parent all
   four commands mount, so they accept *identical* monitoring flags;
 - :meth:`MonitorStackConfig.from_args` -- flags to config, one way;
+- :meth:`MonitorStackConfig.monitoring_dict` -- config to the
+  ``run.monitoring`` dict every forensic bundle and checkpoint
+  records (see docs/SCHEMAS.md);
+- :func:`wire_monitoring` -- that dict to live sampler -> trend ->
+  alerts -> history components.  It is the only place they are
+  wired: live stacks, :func:`~repro.obs.forensics.replay_bundle`, and
+  :func:`~repro.obs.checkpoint.resume_checkpoint` all build through
+  it, so a run is always built from exactly what it records;
 - :func:`build_monitor_stack` -- config to a live :class:`MonitorStack`
   (machine + monitor + profiler + alert engine + stream + recorder)
   with a start/stop/close lifecycle.
@@ -27,7 +35,13 @@ from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigurationError
 from repro.core.sampling import SamplingPolicy
-from repro.obs.trend import DEFAULT_WINDOW, DETECTORS, MIN_SLOPE_POINTS
+from repro.obs.trend import (
+    DEFAULT_SEASONAL_PHASES,
+    DEFAULT_SEASONAL_WARMUP,
+    DEFAULT_WINDOW,
+    DETECTORS,
+    MIN_SLOPE_POINTS,
+)
 
 #: default profiler interval the ``repro monitor`` command uses.
 DEFAULT_SAMPLE_EVERY = 100_000
@@ -167,6 +181,37 @@ class MonitorStackConfig:
         if self.sampling is None:
             return self
         return replace(self, sampling=self.sampling.for_machine(index))
+
+    def monitoring_dict(self):
+        """The ``run.monitoring`` dict a bundle or checkpoint records.
+
+        The one description of the stack's sampler -> trend -> alerts
+        -> history wiring: :func:`wire_monitoring` builds from it, for
+        live runs as much as for replay and resume.  Rules are stored
+        resolved (rule files read, trend rules appended), so the
+        record stands alone.  Empty when the stack samples nothing.
+        """
+        from repro.obs.alerts import default_trend_rules, resolve_rules
+        info = {}
+        if self.wants_profiler:
+            rules = resolve_rules(self.rules)
+            if self.wants_trend:
+                rules = rules + default_trend_rules(self.trend)
+            info["sample_every"] = self.sample_every
+            info["rules"] = [rule.to_dict() for rule in rules]
+        if self.sampling is not None:
+            info["sampling"] = self.sampling.to_dict()
+        if self.wants_trend:
+            info["trend"] = {
+                "detector": self.trend,
+                "window": self.trend_window or DEFAULT_WINDOW,
+                "seasonal_period": self.seasonal_period,
+                "seasonal_phases": DEFAULT_SEASONAL_PHASES,
+                "seasonal_warmup": DEFAULT_SEASONAL_WARMUP,
+            }
+        if self.wants_history:
+            info["history"] = True
+        return info
 
     # ------------------------------------------------------------------
     # codecs
@@ -363,28 +408,25 @@ def _labelled_path(path, label):
 class MonitorStack:
     """One live monitoring stack around one machine and monitor.
 
-    Built by :func:`build_monitor_stack`; the owner brackets the
-    workload with :meth:`start` / :meth:`stop` and finishes with
-    :meth:`close` (idempotent, exception-safe) so streams always flush
-    and recorders always detach.
+    Built by :func:`wire_monitoring` (bare, as replay and resume use
+    it) or :func:`build_monitor_stack` (with stream, recorder and
+    checkpoint scheduler); the owner brackets the workload with
+    :meth:`start` / :meth:`stop` and finishes with :meth:`close`
+    (idempotent, exception-safe) so streams always flush and
+    recorders always detach.
     """
 
-    def __init__(self, config, machine, monitor, sampler=None,
-                 engine=None, sink=None, stream=None, recorder=None,
-                 alert_rules=(), trend=None, history=None,
-                 scheduler=None):
-        self.config = config
+    def __init__(self, machine, monitor, monitoring):
         self.machine = machine
         self.monitor = monitor
-        self.sampler = sampler
-        self.engine = engine
-        self.sink = sink
-        self.stream = stream
-        self.recorder = recorder
-        self.alert_rules = list(alert_rules)
-        self.trend = trend
-        self.history = history
-        self.scheduler = scheduler
+        #: the recorded ``run.monitoring`` dict this stack was wired
+        #: from (see :meth:`MonitorStackConfig.monitoring_dict`).
+        self.monitoring = monitoring
+        #: filled in by :func:`wire_monitoring` and
+        #: :func:`build_monitor_stack` as the description asks.
+        self.sampler = self.engine = self.trend = self.history = None
+        self.alert_rules = []
+        self.sink = self.stream = self.recorder = self.scheduler = None
         self._closed = False
 
     def start(self):
@@ -440,26 +482,52 @@ class MonitorStack:
         return (self.scheduler.on_request
                 if self.scheduler is not None else None)
 
-    def monitoring_info(self):
-        """The ``monitoring`` sub-dict a forensic bundle records."""
-        info = {}
-        if self.config.wants_profiler:
-            info["sample_every"] = self.config.sample_every
-            info["rules"] = [rule.to_dict()
-                             for rule in self.alert_rules]
-        if self.config.sampling is not None:
-            info["sampling"] = self.config.sampling.to_dict()
-        if self.trend is not None:
-            info["trend"] = {
-                "detector": self.config.trend,
-                "window": self.trend.window,
-                "seasonal_period": self.trend.seasonal_period,
-                "seasonal_phases": self.trend.seasonal_phases,
-                "seasonal_warmup": self.trend.seasonal_warmup,
-            }
-        if self.history is not None:
-            info["history"] = True
-        return info
+
+def wire_monitoring(machine, monitor, monitoring):
+    """Wire sampler -> trend -> alerts -> history from ``monitoring``.
+
+    ``monitoring`` is a recorded ``run.monitoring`` dict (see
+    :meth:`MonitorStackConfig.monitoring_dict`).  This is the one
+    place those components are built: :func:`build_monitor_stack`,
+    :func:`~repro.obs.forensics.replay_bundle` and
+    :func:`~repro.obs.checkpoint.resume_checkpoint` all come through
+    here, so the listener order -- which the bit-exact replay and
+    resume contracts depend on -- cannot drift between them.  Missing
+    trend keys (older bundles) fall back to the engine defaults.
+    Returns an unstarted :class:`MonitorStack`.
+    """
+    stack = MonitorStack(machine, monitor, monitoring)
+    if not monitoring.get("sample_every"):
+        return stack
+    from repro.obs.alerts import AlertEngine, AlertRule
+    from repro.obs.sampler import SamplingProfiler, leak_group_source
+    stack.alert_rules = [AlertRule.from_dict(spec)
+                         for spec in monitoring.get("rules", [])]
+    stack.sampler = SamplingProfiler(
+        machine, interval_cycles=monitoring["sample_every"],
+        group_source=leak_group_source(monitor))
+    trend_info = monitoring.get("trend")
+    if trend_info:
+        from repro.obs.trend import TrendEngine
+        stack.trend = TrendEngine(
+            machine, window=trend_info.get("window") or DEFAULT_WINDOW,
+            seasonal_period=trend_info.get("seasonal_period"),
+            seasonal_phases=(trend_info.get("seasonal_phases")
+                             or DEFAULT_SEASONAL_PHASES),
+            seasonal_warmup=(trend_info.get("seasonal_warmup")
+                             or DEFAULT_SEASONAL_WARMUP))
+        # The trend listener must observe before the alert engine
+        # evaluates, so trend rules judge this sample's verdicts.
+        stack.sampler.add_listener(stack.trend.observe)
+    stack.engine = AlertEngine(stack.alert_rules, events=machine.events,
+                               metrics=machine.metrics,
+                               trend_source=stack.trend)
+    stack.sampler.add_listener(stack.engine.evaluate)
+    if monitoring.get("history"):
+        from repro.obs.history import HistoryStore
+        stack.history = HistoryStore(metrics=machine.metrics)
+        stack.sampler.add_listener(stack.history.observe)
+    return stack
 
 
 def build_monitor_stack(config, machine=None, monitor=None,
@@ -469,8 +537,11 @@ def build_monitor_stack(config, machine=None, monitor=None,
     ``machine``/``monitor`` reuse pre-built instances (the monitor must
     already match ``config.monitor``/``config.sampling``); when None
     they are created here, which is how every command now boots its
-    stack.  ``run_info`` (workload/monitor/buggy/requests/seed) arms a
-    forensic recorder when the config asks for dumps; ``label``
+    stack.  The sampler/trend/alerts/history come from
+    :func:`wire_monitoring` over ``config.monitoring_dict()``.
+    ``run_info`` (a :func:`~repro.analysis.runner.describe_run` dict)
+    arms a forensic recorder and checkpoint scheduler when the config
+    asks for them, recording that same monitoring dict; ``label``
     suffixes per-machine stream files and dump bundles in fleet runs.
     """
     # Lazy imports: obs.stack is imported by the CLI front end, while
@@ -484,76 +555,41 @@ def build_monitor_stack(config, machine=None, monitor=None,
                           cache_ways=16, profile=config.profile)
     if monitor is None:
         monitor = make_monitor(config.monitor, sampling=config.sampling)
+    monitoring = config.monitoring_dict()
+    stack = wire_monitoring(machine, monitor, monitoring)
 
-    sampler = engine = trend = history = None
-    rules = []
-    if config.wants_profiler:
-        from repro.obs.alerts import (
-            AlertEngine,
-            default_trend_rules,
-            resolve_rules,
-        )
-        from repro.obs.sampler import SamplingProfiler, leak_group_source
-        rules = resolve_rules(config.rules)
-        sampler = SamplingProfiler(
-            machine, interval_cycles=config.sample_every,
-            group_source=leak_group_source(monitor))
-        if config.wants_trend:
-            from repro.obs.trend import TrendEngine
-            trend = TrendEngine(
-                machine, window=config.trend_window or DEFAULT_WINDOW,
-                seasonal_period=config.seasonal_period)
-            rules = rules + default_trend_rules(config.trend)
-            # The trend listener must observe before the alert engine
-            # evaluates, so trend rules judge this sample's verdicts.
-            sampler.add_listener(trend.observe)
-        engine = AlertEngine(rules, events=machine.events,
-                             metrics=machine.metrics,
-                             trend_source=trend)
-        sampler.add_listener(engine.evaluate)
-        if config.wants_history:
-            from repro.obs.history import HistoryStore
-            history = HistoryStore(metrics=machine.metrics)
-            sampler.add_listener(history.observe)
-
-    sink = stream = None
     if config.stream is not None:
         from repro.obs.sink import (
             DEFAULT_MAX_BYTES,
             JsonlSink,
             TelemetryStream,
         )
-        sink = JsonlSink(_labelled_path(config.stream, label),
-                         max_bytes=config.stream_max_bytes
-                         or DEFAULT_MAX_BYTES)
-        stream = TelemetryStream(sink, machine=machine,
-                                 sampler=sampler, engine=engine)
-
-    stack = MonitorStack(config, machine, monitor, sampler=sampler,
-                         engine=engine, sink=sink, stream=stream,
-                         alert_rules=rules, trend=trend,
-                         history=history)
-    info = None
-    if run_info is not None:
-        info = dict(run_info)
-        monitoring = stack.monitoring_info()
-        if monitoring:
-            info["monitoring"] = monitoring
-    if config.wants_forensics and info is not None:
+        stack.sink = JsonlSink(_labelled_path(config.stream, label),
+                               max_bytes=config.stream_max_bytes
+                               or DEFAULT_MAX_BYTES)
+        stack.stream = TelemetryStream(stack.sink, machine=machine,
+                                       sampler=stack.sampler,
+                                       engine=stack.engine)
+    if run_info is None:
+        return stack
+    info = dict(run_info)
+    if monitoring:
+        info["monitoring"] = monitoring
+    if config.wants_forensics:
         from repro.obs.forensics import ForensicRecorder
         stack.recorder = ForensicRecorder(
             machine, monitor=monitor, run_info=info,
             dump_dir=config.resolved_dump_dir(),
             label=label or info.get("workload", "run"),
             on_alert=config.dump_on_alert,
-            trend=trend,
+            trend=stack.trend,
         )
-    if config.wants_checkpoints and info is not None:
+    if config.wants_checkpoints:
         from repro.obs.checkpoint import CheckpointScheduler
         stack.scheduler = CheckpointScheduler(
             machine, config.checkpoint_every, monitor=monitor,
-            run_info=info, sampler=sampler, engine=engine, trend=trend,
-            history=history,
+            run_info=info, sampler=stack.sampler, engine=stack.engine,
+            trend=stack.trend, history=stack.history,
             checkpoint_dir=config.resolved_checkpoint_dir(),
             label=label or info.get("workload", "run"),
         )

@@ -21,6 +21,7 @@ from repro.analysis import fleet
 from repro.analysis.runner import (
     CACHE_SIZE,
     DRAM_SIZE,
+    describe_run,
     make_monitor,
     run_workload,
 )
@@ -56,7 +57,8 @@ from repro.obs.forensics import (
     write_bundle,
 )
 from repro.obs.sampler import SamplingProfiler, leak_group_source
-from repro.obs.stack import MonitorStackConfig
+from repro.obs.stack import MonitorStackConfig, build_monitor_stack
+from repro.workloads.diurnal import SEASON_PERIOD_CYCLES
 
 
 def run_cli(*argv):
@@ -527,6 +529,58 @@ class TestFleetForensics:
         assert "forensic dumps:" in rendered
         assert report.bundles[0] in rendered
 
+    def test_fleet_seasonal_trend_bundles_replay_bit_exactly(self,
+                                                             tmp_path):
+        # Regression: fleet machines used to record a hand-built
+        # monitoring dict without the seasonal baseline or the trend
+        # rules, so replay rebuilt a different stack and diverged at
+        # the first alert (cycle 403,958).  They now record the same
+        # description their live stack was wired from.
+        result = fleet.run_fleet(
+            "squid1-diurnal", machines=1, buggy=True, requests=4, jobs=1,
+            stack=MonitorStackConfig(
+                monitor="safemem", sample_every=200_000,
+                trend="theil-sen", seasonal_period=SEASON_PERIOD_CYCLES,
+                dump_dir=str(tmp_path), dump_on_alert=True),
+        )
+        bundles = result.reports[0].bundles
+        assert bundles, "no forensic bundle written"
+        for path in bundles:
+            bundle = load_bundle(path)
+            trend = bundle["run"]["monitoring"]["trend"]
+            assert trend["seasonal_period"] == SEASON_PERIOD_CYCLES
+            ok, message = verify_replay(bundle, replay_bundle(bundle))
+            assert ok, message
+
+    def test_history_bundle_replays_onto_history_probes(self, tmp_path):
+        # Regression: replay never rebuilt the history store, so a
+        # bundle recorded with --history replayed without its
+        # history.* probes.
+        config = MonitorStackConfig(monitor="safemem",
+                                    sample_every=200_000, history=True,
+                                    dump_dir=str(tmp_path))
+        stack = build_monitor_stack(
+            config, run_info=describe_run("ypserv1", "safemem",
+                                          requests=20))
+        stack.start()
+        try:
+            run_workload("ypserv1", "safemem", requests=20,
+                         machine=stack.machine, monitor=stack.monitor)
+        finally:
+            stack.stop()
+        bundle = load_bundle(stack.recorder.capture())
+        stack.close()
+        assert bundle["run"]["monitoring"]["history"] is True
+        recorded = {name: value for name, value
+                    in bundle["metrics"]["metrics"].items()
+                    if name.startswith("history.")}
+        assert recorded["history.observations"] > 0
+        replay = replay_bundle(bundle)
+        ok, message = verify_replay(bundle, replay)
+        assert ok, message
+        replayed = replay.machine.metrics.snapshot()
+        assert {name: replayed[name] for name in recorded} == recorded
+
     def test_fleet_without_dump_dir_writes_nothing(self):
         result = fleet.run_fleet("gzip", machines=1, monitor="native",
                                  requests=5, jobs=1)
@@ -536,12 +590,13 @@ class TestFleetForensics:
     def test_panicking_machine_becomes_report_row(self, tmp_path,
                                                   monkeypatch):
         def boom(*args, machine=None, monitor=None, **kwargs):
-            # Mirror the boot-tap call the real run_workload makes, so
-            # the job's ForensicRecorder attaches before the crash.
+            # Mirror the boot notification the real run_workload makes,
+            # so the job's ForensicRecorder attaches before the crash.
             from repro.analysis import runner
-            for tap in list(runner._BOOT_TAPS):
-                tap(machine, monitor,
-                    {"workload": "gzip", "monitor": "native"})
+            for on_boot, _ in list(runner._OBSERVERS):
+                if on_boot is not None:
+                    on_boot(machine, monitor,
+                            runner.describe_run("gzip", "native"))
             machine.events.emit(EventKind.PANIC, address=0x40,
                                 reason="injected")
             raise MachinePanic("injected")

@@ -6,8 +6,8 @@ per-fleet-machine seed derivation, the :class:`AllocationSampler` guard
 pool (budget exhaustion -> adaptive backoff -> slot reclamation), the
 SafeMem fast paths (rate 0.0 never arms a watchpoint; rate 1.0 is
 *bit-identical* to the classic always-on monitor), the
-``MonitorStackConfig`` codec and argparse bridge, and every
-deprecation shim the API redesign left behind.
+``MonitorStackConfig`` codec and argparse bridge, and that every
+removed shim now fails fast.
 """
 
 import dataclasses
@@ -16,7 +16,9 @@ import pytest
 
 from repro.analysis import fleet
 from repro.analysis.runner import make_monitor, run_workload
+from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError
+from repro.common.events import EventLog
 from repro.core.config import full_config
 from repro.core.safemem import SafeMem
 from repro.core.sampling import (
@@ -24,6 +26,8 @@ from repro.core.sampling import (
     SamplingPolicy,
     machine_sample_seed,
 )
+from repro.machine.machine import Machine
+from repro.machine.program import Program
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stack import MonitorStackConfig
 
@@ -241,7 +245,8 @@ class TestMonitorStackConfig:
 
 
 # ----------------------------------------------------------------------
-# removed PR 7 shims: the old spellings now fail fast
+# removed shims (PR 7 keywords, PR 2 telemetry views): the old
+# spellings now fail fast
 # ----------------------------------------------------------------------
 class TestRemovedShims:
     def test_safemem_positional_config_works(self):
@@ -272,6 +277,41 @@ class TestRemovedShims:
     def test_run_validation_rejects_unknown_keywords(self):
         with pytest.raises(TypeError):
             fleet.run_validation(sample_every=1)
+
+    def test_machine_perf_counters_is_gone(self):
+        with pytest.raises(AttributeError):
+            Machine(dram_size=8 * 1024 * 1024).perf_counters()
+        with pytest.raises(ImportError):
+            from repro.machine.machine import (  # noqa: F401
+                PERF_COUNTER_METRICS,
+            )
+
+    def test_safemem_statistics_is_gone(self):
+        # Attached: the counters the legacy dict carried stay readable,
+        # by their registry names, through telemetry().
+        machine = Machine(dram_size=16 * 1024 * 1024)
+        safemem = SafeMem(full_config())
+        program = Program(machine, monitor=safemem,
+                          heap_size=4 * 1024 * 1024)
+        program.free(program.malloc(64))
+        with pytest.raises(AttributeError):
+            safemem.statistics()
+        with pytest.raises(ImportError):
+            from repro.core.safemem import STATISTICS_METRICS  # noqa: F401
+        snapshot = safemem.telemetry()
+        for name in ("safemem.watch.arms", "safemem.corruption.reports",
+                     "machine.load.fast"):
+            assert name in snapshot.values, name
+
+    def test_safemem_statistics_before_attach_is_gone(self):
+        safemem = SafeMem()
+        with pytest.raises(AttributeError):
+            safemem.statistics()
+        assert safemem.telemetry().values == {}
+
+    def test_event_log_is_not_iterable(self):
+        with pytest.raises(TypeError):
+            iter(EventLog(VirtualClock()))
 
 
 # ----------------------------------------------------------------------

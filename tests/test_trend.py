@@ -478,7 +478,7 @@ class TestTrendEndToEnd:
             listeners.index(stack.engine.evaluate)
         assert [rule.name for rule in stack.alert_rules] == \
             ["leak-trend-theil-sen"]
-        info = stack.monitoring_info()
+        info = stack.monitoring
         assert info["trend"] == {
             "detector": "theil-sen", "window": 8,
             "seasonal_period": None, "seasonal_phases": 32,
@@ -505,7 +505,7 @@ def _trend_monitored_run(workload="ypserv2", buggy=True):
         stack.stop()
     bundle = capture_bundle(
         stack.machine, monitor=stack.monitor,
-        run_info={**run_info, "monitoring": stack.monitoring_info()},
+        run_info={**run_info, "monitoring": stack.monitoring},
         trend=stack.trend)
     stack.close()
     return stack, bundle
