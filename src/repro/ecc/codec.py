@@ -35,6 +35,7 @@ See ``docs/HARDWARE.md`` for the cross-backend hardware-diversity
 matrix derived from these implementations.
 """
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,6 +96,44 @@ _BYTE_SYNDROMES = _build_byte_syndromes()
 
 #: Parity (popcount & 1) of every byte value.
 _BYTE_PARITY = tuple(bin(value).count("1") & 1 for value in range(256))
+
+
+def _build_chunk_tables():
+    """Per-16-bit-chunk lookup tables for :meth:`SecDedCodec.encode_words`.
+
+    ``_CHUNK_TABLES[c][v]`` packs, for the little-endian 16-bit value
+    ``v`` in chunk ``c`` of a 64-bit group, the XOR of its data bits'
+    codeword positions (bits 0-6; positions stop at 71, so they fit)
+    and the parity of its data bits (bit 7).  Both halves combine by
+    XOR, so one group is the XOR of four entries.  Each table is built
+    as one wide-int XOR of its two per-byte halves.
+    """
+    packed = [
+        bytes(syndrome | (parity << 7)
+              for syndrome, parity in zip(table, _BYTE_PARITY))
+        for table in _BYTE_SYNDROMES
+    ]
+    tables = []
+    for low, high in zip(packed[0::2], packed[1::2]):
+        # Entry (h << 8) | l is low[l] ^ high[h].
+        lows = int.from_bytes(low * 256, "little")
+        highs = int.from_bytes(
+            b"".join(bytes((value,)) * 256 for value in high), "little")
+        tables.append((lows ^ highs).to_bytes(1 << 16, "little"))
+    return tuple(tables)
+
+
+_CHUNK_TABLES = _build_chunk_tables()
+
+#: One 64-bit group as its four little-endian 16-bit chunks.
+_GROUP_CHUNKS = struct.Struct("<4H")
+
+#: Packed ``syndrome | data_parity << 7`` -> check byte: the Hamming
+#: bits stay, and the overall parity also covers the Hamming bits.
+_CHECK_FROM_PACKED = bytes(
+    (packed & 0x7F) | (((packed >> 7) ^ _BYTE_PARITY[packed & 0x7F]) << 7)
+    for packed in range(256)
+)
 
 
 class DecodeStatus(Enum):
@@ -380,30 +419,22 @@ class SecDedCodec(Codec):
     def encode_words(self, data):
         """Batch-encode: one check byte per 64-bit group of ``data``.
 
-        Operates directly on the byte string (no per-group int
-        conversion); this is the path the memory controller uses for
-        whole-cache-line fills and write-backs.
+        Four 16-bit-chunk table lookups and one fix-up lookup per group
+        (see :func:`_build_chunk_tables`); this is the path the memory
+        controller uses for whole-cache-line fills and write-backs.
+        ``data`` may be any bytes-like buffer.
         """
         if len(data) % ECC_GROUP_BYTES:
             raise ConfigurationError(
                 f"batch encode needs a multiple of {ECC_GROUP_BYTES} "
                 f"bytes, got {len(data)}"
             )
-        syndromes = _BYTE_SYNDROMES
-        parities = _BYTE_PARITY
-        out = bytearray(len(data) // ECC_GROUP_BYTES)
-        base = 0
-        for group in range(len(out)):
-            syndrome = 0
-            data_parity = 0
-            for byte_index in range(ECC_GROUP_BYTES):
-                value = data[base + byte_index]
-                syndrome ^= syndromes[byte_index][value]
-                data_parity ^= parities[value]
-            hamming = syndrome & 0x7F
-            out[group] = hamming | ((data_parity ^ parities[hamming]) << 7)
-            base += ECC_GROUP_BYTES
-        return bytes(out)
+        t0, t1, t2, t3 = _CHUNK_TABLES
+        check = _CHECK_FROM_PACKED
+        return bytes([
+            check[t0[c0] ^ t1[c1] ^ t2[c2] ^ t3[c3]]
+            for c0, c1, c2, c3 in _GROUP_CHUNKS.iter_unpack(data)
+        ])
 
     # ------------------------------------------------------------------
     # decoding

@@ -12,7 +12,7 @@ change while it is registered, so the physical index stays valid.
 
 from dataclasses import dataclass, field
 
-from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE, page_base
+from repro.common.constants import CACHE_LINE_SIZE, page_base
 from repro.common.errors import SyscallError
 
 
@@ -50,15 +50,6 @@ class WatchRegistry:
         self._regions = {}
         self._by_vline = {}
         self._by_pline = {}
-        #: virtual page base -> number of armed lines on that page.
-        #: Lets ``overlaps_range`` skip whole pages of a span without
-        #: probing every line (the batch engine's armed-line screen).
-        self._armed_pages = {}
-        #: Called with the registry after every add/remove.  The machine
-        #: registers a listener here to disable its short-circuit access
-        #: path the moment any line is armed -- the hook that keeps the
-        #: fast path from ever swallowing a watchpoint fault.
-        self._listeners = []
 
     def __len__(self):
         return len(self._regions)
@@ -70,14 +61,6 @@ class WatchRegistry:
     def armed_line_count(self):
         """Number of cache lines currently armed across all regions."""
         return len(self._by_vline)
-
-    def add_listener(self, listener):
-        """Register a callback invoked (with the registry) on changes."""
-        self._listeners.append(listener)
-
-    def _notify(self):
-        for listener in self._listeners:
-            listener(self)
 
     def add(self, region):
         if region.vaddr in self._regions:
@@ -93,9 +76,6 @@ class WatchRegistry:
         for vline, pline in region.lines.items():
             self._by_vline[vline] = region
             self._by_pline[pline] = (region, vline)
-            page = page_base(vline)
-            self._armed_pages[page] = self._armed_pages.get(page, 0) + 1
-        self._notify()
 
     def remove(self, vaddr):
         region = self._regions.pop(vaddr, None)
@@ -104,13 +84,6 @@ class WatchRegistry:
         for vline, pline in region.lines.items():
             self._by_vline.pop(vline, None)
             self._by_pline.pop(pline, None)
-            page = page_base(vline)
-            remaining = self._armed_pages.get(page, 0) - 1
-            if remaining > 0:
-                self._armed_pages[page] = remaining
-            else:
-                self._armed_pages.pop(page, None)
-        self._notify()
         return region
 
     def get(self, vaddr):
@@ -127,32 +100,6 @@ class WatchRegistry:
         """True when ``vaddr`` lies inside any watched region."""
         vline = vaddr - (vaddr % CACHE_LINE_SIZE)
         return vline in self._by_vline
-
-    def overlaps_range(self, vaddr, size):
-        """True when ``[vaddr, vaddr+size)`` touches any armed line.
-
-        The batch engine's screen: it must route every op that could
-        trip a watchpoint to the scalar path.  Page-granular first
-        (most pages of a span carry no watches), then per-line within
-        armed pages only.
-        """
-        if not self._by_vline or size <= 0:
-            return False
-        by_vline = self._by_vline
-        armed_pages = self._armed_pages
-        last = vaddr + size - 1
-        page = page_base(vaddr)
-        end_page = page_base(last)
-        while page <= end_page:
-            if page in armed_pages:
-                line = max(page, vaddr - (vaddr % CACHE_LINE_SIZE))
-                stop = min(page + PAGE_SIZE - 1, last)
-                while line <= stop:
-                    if line in by_vline:
-                        return True
-                    line += CACHE_LINE_SIZE
-            page += PAGE_SIZE
-        return False
 
     def all_regions(self):
         return list(self._regions.values())

@@ -136,13 +136,6 @@ class Machine:
             tracer=self.tracer,
             scrub_interval_cycles=self.profile.scrub_interval_cycles,
         )
-        # Short-circuit access path: taken only while *zero* cache lines
-        # are armed (the overwhelmingly common production state).  The
-        # registry listener flips the flag the instant a watch is armed,
-        # so an armed line always sees the full fault-retry machinery
-        # and "first touch faults" is preserved.
-        self._fast_path_enabled = True
-        self.kernel.watches.add_listener(self._on_watch_registry_change)
         self.fast_loads = 0
         self.fast_stores = 0
         self.slow_loads = 0
@@ -173,9 +166,6 @@ class Machine:
                       kind="counter",
                       description="events emitted into the event log")
 
-    def _on_watch_registry_change(self, registry):
-        self._fast_path_enabled = registry.armed_line_count == 0
-
     # ------------------------------------------------------------------
     # program-visible memory access
     # ------------------------------------------------------------------
@@ -187,12 +177,14 @@ class Machine:
         line) the access retries and completes, like a resumed
         instruction after a machine-check.
 
-        While no watchpoints are armed, a single-line access whose
-        translation and cache line are both hot short-circuits the
-        fault-retry machinery entirely (identical costs and statistics;
-        a resident cache line can never raise an ECC fault).
+        A single-line access whose translation and cache line are both
+        hot short-circuits the fault-retry machinery entirely (identical
+        costs and statistics).  This holds with any number of lines
+        armed: an armed line is never resident (``WatchMemory`` flushes
+        it and its fill raises before installing it), so it always
+        misses here and faults in the walk.
         """
-        if (self._fast_path_enabled and 0 < size
+        if (0 < size
                 and (vaddr % CACHE_LINE_SIZE) + size <= CACHE_LINE_SIZE):
             paddr = self.mmu.translate_fast(vaddr)
             if paddr is not None:
@@ -206,8 +198,7 @@ class Machine:
     def store(self, vaddr, data):
         """Store bytes to virtual memory (write-allocate, so a store to
         a watched line also trips the watchpoint via its line fill)."""
-        if (self._fast_path_enabled and data
-                and (vaddr % CACHE_LINE_SIZE) + len(data) <= CACHE_LINE_SIZE):
+        if data and (vaddr % CACHE_LINE_SIZE) + len(data) <= CACHE_LINE_SIZE:
             paddr = self.mmu.translate_fast(vaddr, write=True)
             if paddr is not None and self.cache.fast_write(paddr, data):
                 self.fast_stores += 1
@@ -215,21 +206,17 @@ class Machine:
         self.slow_stores += 1
         self._access_with_retry(vaddr, len(data), True, data)
 
-    def _access_with_retry(self, vaddr, size, write, data=None,
-                           span=False):
+    def _access_with_retry(self, vaddr, size, write, data=None):
         """The fault-retry loop shared by every non-short-circuit path.
 
-        One ``walk`` attempt per delivered-and-handled fault, up to the
-        livelock budget; ``span=True`` moves whole-line spans through
-        the cache (:meth:`_span_walk`), which is bookkeeping-identical
-        to the scalar :meth:`_walk` but amortizes Python overhead.
+        One :meth:`_span_walk` attempt per delivered-and-handled fault,
+        up to the livelock budget.
         """
-        walk = self._span_walk if span else self._walk
         access = "write" if write else "read"
         budget = _retry_budget(size)
         for _ in range(budget):
             try:
-                return walk(vaddr, size, write, data)
+                return self._span_walk(vaddr, size, write, data)
             except UncorrectableEccError as exc:
                 self.kernel.handle_uncorrectable_fault(exc.fault,
                                                        access=access)
@@ -251,14 +238,16 @@ class Machine:
         The batched engine resolves translation once per page run
         (a per-plan page->frame cache, discarded on any TLB shootdown),
         serves resident single-line ops inline, and moves everything
-        else through whole-line span walks.  Any op that overlaps an
-        armed/watched line -- and any zero-sized op -- falls back to
-        the scalar :meth:`load`/:meth:`store`, so watchpoint semantics
-        and cycle accounting are identical to scalar execution; a
-        tier-1 differential test pins that equivalence.  The only
-        observable differences are instrumentation: ``mmu.tlb.hit``
-        undercounts pages served from the plan cache, and batched ops
-        count under ``machine.*.batched`` instead of fast/slow.
+        else through the fault-retrying span walk.  Armed lines need no
+        screen: they are never resident, so an op touching one misses
+        and faults inside the span walk exactly as a scalar access
+        would.  Zero-sized ops fall back to the scalar
+        :meth:`load`/:meth:`store`.  Watchpoint semantics and cycle
+        accounting are identical to scalar execution; a tier-1
+        differential test pins that equivalence.  The only observable
+        differences are instrumentation: ``mmu.tlb.hit`` undercounts
+        pages served from the plan cache, and batched ops count under
+        ``machine.*.batched`` instead of fast/slow.
         """
         if not self.batching_enabled:
             results = []
@@ -286,7 +275,6 @@ class Machine:
         num_sets = l1.num_sets
         line_size = CACHE_LINE_SIZE
         page_size = PAGE_SIZE
-        overlaps = self.kernel.watches.overlaps_range
         translate = mmu.translate
         # Per-plan translation cache: page base -> frame base, split by
         # required permission.  Invalidated wholesale whenever the TLB
@@ -294,7 +282,6 @@ class Machine:
         rcache = {}
         wcache = {}
         shootdowns = mmu.tlb_invalidations + mmu.tlb_flushes
-        armed_free = self._fast_path_enabled
         # While no timers are armed, nothing can observe intermediate
         # bookkeeping between hits, so the hot path runs on local
         # mirrors: consecutive hit charges batch into one clock.tick
@@ -370,10 +357,9 @@ class Machine:
                     f"unknown op kind {kind!r} in access plan")
 
             slow = False
-            if size <= 0 or (not armed_free and overlaps(vaddr, size)):
-                # Scalar fallback: armed/watched lines keep the full
-                # first-touch-faults machinery; degenerate sizes keep
-                # scalar slow-path semantics.
+            if size <= 0:
+                # Scalar fallback: degenerate sizes keep scalar
+                # slow-path semantics.
                 l1._tick = tick
                 if last_line is not None:
                     last_line.stamp = tick
@@ -430,7 +416,6 @@ class Machine:
                         except (PageFault, ProtectionFault):
                             frame = None
                         else:
-                            armed_free = self._fast_path_enabled
                             defer = clock.timer_count == 0
                             marks = (mmu.tlb_invalidations
                                      + mmu.tlb_flushes)
@@ -518,19 +503,16 @@ class Machine:
                     tick_clock(hits * hit_cost)
                     nstores = 0
                 if write:
-                    self._access_with_retry(vaddr, size, True, data,
-                                            span=True)
+                    self._access_with_retry(vaddr, size, True, data)
                     self.batched_stores += 1
                     append(None)
                 else:
-                    append(self._access_with_retry(vaddr, size, False,
-                                                   span=True))
+                    append(self._access_with_retry(vaddr, size, False))
                     self.batched_loads += 1
                 slow = True
             if slow:
                 # A slow op may have run handler code: watches can have
                 # been armed, timers started, TLB entries shot down.
-                armed_free = self._fast_path_enabled
                 defer = clock.timer_count == 0
                 tick = tick_base = l1._tick
                 marks = mmu.tlb_invalidations + mmu.tlb_flushes
@@ -623,31 +605,13 @@ class Machine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _walk(self, vaddr, size, write, data=None):
-        """One attempt at the access, split at page boundaries."""
-        out = bytearray() if not write else None
-        cursor = vaddr
-        end = vaddr + size
-        position = 0
-        while cursor < end:
-            page_end = align_down(cursor, PAGE_SIZE) + PAGE_SIZE
-            take = min(end - cursor, page_end - cursor)
-            paddr = self.mmu.translate(cursor, write=write)
-            if write:
-                self.cache.store(paddr, data[position:position + take])
-            else:
-                out += self.cache.load(paddr, take)
-            cursor += take
-            position += take
-        return bytes(out) if not write else None
-
     def _span_walk(self, vaddr, size, write, data=None):
-        """One attempt at a batched access: whole-line span moves.
+        """One attempt at the access, split at page boundaries.
 
-        Splits at page boundaries like :meth:`_walk`, but each page
-        chunk goes through the cache's span path, amortizing per-line
-        Python overhead while keeping identical hit/miss/LRU/cycle
-        bookkeeping (see ``Cache.load_span``).
+        Each page chunk goes through the cache's span path, which
+        amortizes per-line Python overhead while keeping the per-line
+        ``Cache.load``/``store`` hit/miss/LRU/cycle bookkeeping (see
+        ``Cache.load_span``).  An armed line raises out of its fill.
         """
         cache = self.cache
         mmu = self.mmu

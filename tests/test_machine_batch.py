@@ -3,22 +3,62 @@
 The engine's contract is *simulation equivalence*: a plan executed
 batched must produce the same results, the same cycle count, the same
 event stream, and the same detector-visible behavior as the same ops
-issued one by one through the scalar path.  The differential tests here
-pin that contract directly by running twin machines; the edge-case
+issued one by one through the per-line scalar reference walk
+(:func:`_scalar_walk`, which also checks the span walk every slow
+access takes).  The differential tests here pin that contract directly
+by running twin machines; the edge-case
 tests cover the paths where the engine must leave its hot loop
 (demand fills, swap-ins, armed lines, degenerate plans).
 """
 
+import types
+
 import pytest
 
-from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
+from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE, align_down
 from repro.common.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.machine.program import Program
 from repro.workloads.gzip_ import Gzip
+from repro.workloads.registry import all_workload_names, get_workload
 from repro.workloads.tar_ import Tar
 
 BASE = 0x4000_0000
+
+
+def _scalar_walk(self, vaddr, size, write, data=None):
+    """Test-only reference for ``Machine._span_walk``: the per-line walk.
+
+    Splits at page boundaries and moves each chunk through
+    ``Cache.load``/``Cache.store``, which take every line through
+    ``Cache._access_line`` one at a time -- the bookkeeping the span
+    path must reproduce exactly, faults mid-span included.
+    """
+    out = bytearray() if not write else None
+    cursor = vaddr
+    end = vaddr + size
+    position = 0
+    while cursor < end:
+        page_end = align_down(cursor, PAGE_SIZE) + PAGE_SIZE
+        take = min(end - cursor, page_end - cursor)
+        paddr = self.mmu.translate(cursor, write=write)
+        if write:
+            self.cache.store(paddr, data[position:position + take])
+        else:
+            out += self.cache.load(paddr, take)
+        cursor += take
+        position += take
+    return bytes(out) if not write else None
+
+
+def _use_scalar_reference(machine):
+    """Make ``machine`` the per-line reference.
+
+    Every access walks through :func:`_scalar_walk`: the TLB-hit
+    short-circuit is switched off and the span walk is replaced.
+    """
+    machine._span_walk = types.MethodType(_scalar_walk, machine)
+    machine.mmu.translate_fast = lambda vaddr, write=False: None
 
 
 def _machine(**kwargs):
@@ -32,15 +72,20 @@ def _event_trace(machine):
     return [(e.kind, e.cycle, e.address) for e in machine.events.query()]
 
 
-def _run_twins(plan, prepare=None, machine_kwargs=None):
-    """Run ``plan`` batched and scalar on identically prepared machines.
+def _run_twins(plan, prepare=None, machine_kwargs=None, batched=True):
+    """Run ``plan`` on a machine and on the per-line scalar reference.
 
-    Returns ``(batched_machine, scalar_machine, batched_results,
-    scalar_results)`` after asserting the equivalence contract.
+    The subject machine runs the plan through the batched engine (or,
+    with ``batched=False``, op by op through ``load``/``store``); the
+    reference runs it op by op through :func:`_scalar_walk`.  Returns
+    ``(subject_machine, reference_machine, subject_results,
+    reference_results)`` after asserting the equivalence contract.
     """
     outcomes = []
-    for enabled in (True, False):
+    for enabled in (batched, False):
         machine = _machine(**(machine_kwargs or {}))
+        if outcomes:
+            _use_scalar_reference(machine)
         if prepare is not None:
             prepare(machine)
         original = Machine.batching_enabled
@@ -86,8 +131,14 @@ class TestDifferentialEquivalence:
         _run_twins(plan)
 
 
+#: Requests per Table 1 app in the reference differential: long enough
+#: for every buggy run to produce a report (squid1's leak needs its
+#: full default length); the corruption bugs are moved to mid-run.
+_DIFFERENTIAL_REQUESTS = {"squid1": 700}
+
+
 class TestWorkloadDifferential:
-    """The rewritten bulk workloads must be batching-invariant."""
+    """Whole workloads must match the per-line scalar reference."""
 
     @pytest.mark.parametrize("workload_cls", [Gzip, Tar])
     @pytest.mark.parametrize("monitor_name", ["native", "safemem"])
@@ -98,6 +149,8 @@ class TestWorkloadDifferential:
         def run(enabled):
             monkeypatch.setattr(Machine, "batching_enabled", enabled)
             machine = Machine(cache_levels=2)
+            if not enabled:
+                _use_scalar_reference(machine)
             program = Program(machine, monitor=make_monitor(monitor_name))
             workload = workload_cls(requests=30)
             if hasattr(workload, "trigger_block"):
@@ -117,6 +170,49 @@ class TestWorkloadDifferential:
         if monitor_name == "safemem":
             # The detector verdict itself must match, not just cycles.
             assert scalar_truth.detection is not None
+
+    @pytest.mark.parametrize("buggy", [False, True],
+                             ids=["normal", "buggy"])
+    @pytest.mark.parametrize("app", all_workload_names())
+    def test_table1_app_matches_scalar_reference(self, monkeypatch, app,
+                                                 buggy):
+        from repro.analysis.runner import (
+            CACHE_SIZE,
+            DRAM_SIZE,
+            HEAP_SIZE,
+            make_monitor,
+        )
+
+        requests = _DIFFERENTIAL_REQUESTS.get(app, 300)
+
+        def run(reference):
+            monkeypatch.setattr(Machine, "batching_enabled", not reference)
+            machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
+                              cache_ways=16)
+            if reference:
+                _use_scalar_reference(machine)
+            monitor = make_monitor("safemem")
+            program = Program(machine, monitor=monitor, heap_size=HEAP_SIZE)
+            workload = get_workload(app, requests=requests)
+            for trigger in ("trigger_block", "trigger_file",
+                            "trigger_request"):
+                if hasattr(workload, trigger):
+                    setattr(workload, trigger, requests // 2)
+            truth = workload.run(program, buggy=buggy)
+            return machine, monitor, truth
+
+        machine, monitor, truth = run(reference=False)
+        ref_machine, ref_monitor, ref_truth = run(reference=True)
+        assert machine.clock.cycles == ref_machine.clock.cycles
+        assert _event_trace(machine) == _event_trace(ref_machine)
+        assert truth.cycle_marks == ref_truth.cycle_marks
+        assert monitor.leak_reports == ref_monitor.leak_reports
+        assert monitor.corruption_reports == ref_monitor.corruption_reports
+        assert repr(truth.detection) == repr(ref_truth.detection)
+        if buggy:
+            assert monitor.leak_reports or monitor.corruption_reports
+        else:
+            assert not monitor.corruption_reports
 
 
 class TestBatchEdgeCases:
@@ -171,13 +267,45 @@ class TestBatchEdgeCases:
         plan = [("load", BASE + i * CACHE_LINE_SIZE, 32)
                 for i in range(32)]
         batched, scalar, _, _ = _run_twins(plan, prepare=prepare)
-        # The watchpoint fired exactly once on both paths...
+        # The watchpoint fired exactly once on both paths.
         assert len(fired) == 2  # one per twin machine
         assert batched.kernel.ecc_traps == scalar.kernel.ecc_traps == 1
-        # ...and only the armed line took the scalar slow path: the 31
-        # clean lines still went through the batched engine.
-        assert batched.batched_loads == 31
-        assert batched.slow_loads == 1
+
+    @pytest.mark.parametrize("batched", [True, False],
+                             ids=["batched", "scalar"])
+    @pytest.mark.parametrize("write", [False, True], ids=["load", "store"])
+    def test_fault_mid_span_matches_reference(self, batched, write):
+        # One access spans four lines on two pages; the third line is
+        # armed, so the walk faults after two hits in the same page
+        # chunk and retries.
+        start = BASE + PAGE_SIZE - 3 * CACHE_LINE_SIZE + 8
+        armed = BASE + PAGE_SIZE - CACHE_LINE_SIZE
+        fired = []
+
+        def prepare(machine):
+            def handler(info):
+                fired.append(info.vaddr)
+                machine.kernel.disable_watch_memory(armed,
+                                                    restore_data=original)
+                return True
+
+            machine.kernel.register_ecc_fault_handler(handler)
+            machine.store(start, bytes(range(4 * CACHE_LINE_SIZE - 16)))
+            original = machine.read_virtual_raw(armed, CACHE_LINE_SIZE)
+            machine.kernel.watch_memory(armed, CACHE_LINE_SIZE)
+
+        if write:
+            plan = [("store", start, b"\x5a" * (4 * CACHE_LINE_SIZE - 16)),
+                    ("load", start, 4 * CACHE_LINE_SIZE - 16)]
+        else:
+            plan = [("load", start, 4 * CACHE_LINE_SIZE - 16)]
+        subject, reference, results, _ = _run_twins(
+            plan, prepare=prepare, batched=batched)
+        assert fired == [armed, armed]  # one per twin machine
+        assert subject.kernel.ecc_traps == reference.kernel.ecc_traps == 1
+        expected = (b"\x5a" * (4 * CACHE_LINE_SIZE - 16) if write
+                    else bytes(range(4 * CACHE_LINE_SIZE - 16)))
+        assert results[-1] == expected
 
     def test_empty_plan(self):
         machine = _machine()
@@ -237,26 +365,3 @@ class TestBatchEdgeCases:
         assert seen == [("store", program.heap_base, 8),
                         ("load", program.heap_base, 8)]
         assert machine.batched_loads == machine.batched_stores == 0
-
-
-class TestOverlapsRange:
-    def test_page_skip_and_line_hit(self):
-        machine = _machine()
-        armed = BASE + 4 * PAGE_SIZE + 2 * CACHE_LINE_SIZE
-        machine.store(armed, bytes(CACHE_LINE_SIZE))
-        machine.kernel.watch_memory(armed, CACHE_LINE_SIZE)
-        watches = machine.kernel.watches
-        assert not watches.overlaps_range(BASE, 4 * PAGE_SIZE)
-        assert watches.overlaps_range(BASE, 5 * PAGE_SIZE)
-        assert watches.overlaps_range(armed + CACHE_LINE_SIZE - 1, 1)
-        assert not watches.overlaps_range(armed + CACHE_LINE_SIZE, 8)
-        assert not watches.overlaps_range(BASE, 0)
-
-    def test_armed_page_index_maintained_on_remove(self):
-        machine = _machine()
-        armed = BASE + 2 * CACHE_LINE_SIZE
-        machine.store(armed, bytes(CACHE_LINE_SIZE))
-        machine.kernel.watch_memory(armed, CACHE_LINE_SIZE)
-        assert machine.kernel.watches.overlaps_range(BASE, PAGE_SIZE)
-        machine.kernel.disable_watch_memory(armed)
-        assert not machine.kernel.watches.overlaps_range(BASE, PAGE_SIZE)

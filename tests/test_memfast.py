@@ -7,9 +7,15 @@ would have fired it.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
-from repro.common.errors import PageFault, ProtectionFault
+from repro.common.constants import CACHE_LINE_SIZE, ECC_GROUP_BYTES, PAGE_SIZE
+from repro.common.errors import (
+    ConfigurationError,
+    PageFault,
+    ProtectionFault,
+)
 from repro.ecc.codec import SecDedCodec
 from repro.machine.machine import Machine
 from repro.mmu.pagetable import PROT_NONE, PROT_READ, PROT_RW
@@ -93,7 +99,7 @@ class TestTlb:
 
 
 # ----------------------------------------------------------------------
-# short-circuit (armed-line-free) access path
+# short-circuit access path
 # ----------------------------------------------------------------------
 class TestFastPath:
     def test_hot_loads_take_fast_path(self, machine):
@@ -122,7 +128,8 @@ class TestFastPath:
             m = Machine(dram_size=4 * 1024 * 1024)
             m.kernel.mmap(BASE, 16 * PAGE_SIZE)
             if disable_fast_path:
-                m._fast_path_enabled = False
+                # No TLB hit short-circuits: every access walks.
+                m.mmu.translate_fast = lambda vaddr, write=False: None
             for i in range(200):
                 m.store(BASE + (i % 50) * 32, bytes([i & 0xFF]) * 8)
             out = bytearray()
@@ -140,18 +147,30 @@ class TestFastPath:
         assert machine.load(BASE + CACHE_LINE_SIZE - 4, 8) == bytes(8)
         assert machine.fast_loads == before
 
-    def test_arming_disables_fast_path_globally(self, machine):
+    def test_arming_keeps_unrelated_lines_on_fast_path(self, machine):
+        fired = []
+
+        def handler(info):
+            fired.append(info.vaddr)
+            machine.kernel.disable_watch_memory(
+                BASE, restore_data=bytes(CACHE_LINE_SIZE))
+            return True
+
+        machine.kernel.register_ecc_fault_handler(handler)
         machine.store(BASE, bytes(CACHE_LINE_SIZE))
         other = BASE + 4 * PAGE_SIZE
         machine.store(other, b"unrelated")
-        assert machine._fast_path_enabled
         machine.kernel.watch_memory(BASE, CACHE_LINE_SIZE)
-        assert not machine._fast_path_enabled
+        fast_before = machine.fast_loads
         slow_before = machine.slow_loads
-        machine.load(other, 4)
+        assert machine.load(other, 4) == b"unre"
+        assert machine.fast_loads == fast_before + 1
+        assert machine.slow_loads == slow_before
+        # The armed line is not resident, so it misses the fast path
+        # and faults on first touch.
+        assert machine.load(BASE, 8) == bytes(8)
+        assert fired == [BASE]
         assert machine.slow_loads == slow_before + 1
-        machine.kernel.disable_watch_memory(BASE)
-        assert machine._fast_path_enabled
 
     def test_watch_armed_after_warm_state_still_faults_on_first_touch(
             self, machine):
@@ -205,6 +224,34 @@ class TestBatchedCodec:
         for group in range(CACHE_LINE_SIZE // 8):
             word = int.from_bytes(data[group * 8:group * 8 + 8], "little")
             assert checks[group] == codec.encode(word)
+
+    @given(data=st.data(), wrap=st.sampled_from([bytes, bytearray,
+                                                 memoryview]))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_words_property(self, data, wrap):
+        # The table-driven batch path against the per-group reference,
+        # on random, all-zero and repeated-pattern inputs (the fills
+        # the workloads write) of 8 to 4096 bytes.
+        size = ECC_GROUP_BYTES * data.draw(st.integers(1, 512))
+        kind = data.draw(st.sampled_from(["random", "zero", "fill"]))
+        if kind == "random":
+            payload = data.draw(st.binary(min_size=size, max_size=size))
+        elif kind == "zero":
+            payload = bytes(size)
+        else:
+            pattern = data.draw(st.binary(min_size=1, max_size=16))
+            payload = (pattern * (size // len(pattern) + 1))[:size]
+        codec = SecDedCodec()
+        expected = bytes(
+            codec.encode(int.from_bytes(payload[i:i + ECC_GROUP_BYTES],
+                                        "little"))
+            for i in range(0, size, ECC_GROUP_BYTES)
+        )
+        assert codec.encode_words(wrap(payload)) == expected
+
+    def test_encode_words_rejects_partial_group(self):
+        with pytest.raises(ConfigurationError):
+            SecDedCodec().encode_words(bytes(ECC_GROUP_BYTES + 2))
 
     def test_line_fill_takes_clean_fast_path(self, machine):
         machine.store(BASE, b"fill me")
