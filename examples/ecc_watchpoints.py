@@ -13,7 +13,6 @@ Run:  python examples/ecc_watchpoints.py
 from repro import Machine
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.common.errors import MachinePanic
-from repro.kernel.kernel import scramble_bytes
 
 BASE = 0x4000_0000
 
@@ -43,7 +42,7 @@ def main():
         # Check the scramble signature against the saved original --
         # this is how SafeMem tells a watchpoint from a real error.
         current = kernel.peek_watched_line(info.vaddr)
-        if current == scramble_bytes(original):
+        if current == machine.controller.codec.scramble_bytes(original):
             print("  signature matches -> watchpoint hit, disarming")
             kernel.disable_watch_memory(BASE, restore_data=original)
             return True

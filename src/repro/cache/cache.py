@@ -12,6 +12,8 @@ write-back of dirty victims, explicit ``clflush``, and line fills that
 go through the ECC controller (and may therefore raise ECC faults).
 """
 
+from itertools import repeat
+
 from repro.common.constants import CACHE_LINE_SIZE, line_base
 from repro.common.errors import ConfigurationError
 from repro.obs.metrics import attr_reader as _attr_reader
@@ -267,18 +269,33 @@ class Cache:
     # ------------------------------------------------------------------
     # maintenance operations
     # ------------------------------------------------------------------
-    def flush_line(self, paddr):
-        """clflush: write back if dirty, then invalidate.
+    def flush_line(self, paddr, count=1, resident_only=False):
+        """clflush over ``count`` consecutive lines from ``paddr``.
 
-        Used by WatchMemory so the next access must go to DRAM.
+        Writes back the dirty lines, then invalidates all of them.
+        Used by WatchMemory so the next access must go to DRAM.  Every
+        line counts one flush -- with ``resident_only``, only the lines
+        that were resident.  Dirty lines write back as contiguous
+        bursts, one controller write per run of consecutive dirty
+        lines, still counting one write-back per line.
         """
-        base = line_base(paddr)
-        index = self._set_index(base)
-        line = self._sets[index].pop(base, None)
-        self.flushes += 1
-        if line is not None and line.dirty:
-            self.controller.write_line(base, bytes(line.data))
-            self.writebacks += 1
+        base = paddr - paddr % CACHE_LINE_SIZE
+        taken = self._take(base, count)
+        resident = count - taken.count(None)
+        self.flushes += resident if resident_only else count
+        if not resident:
+            return
+        burst = []
+        for index, line in enumerate(taken):
+            if line is not None and line.dirty:
+                burst.append(line.data)
+            elif burst:
+                self._write_back(base + (index - len(burst))
+                                 * CACHE_LINE_SIZE, burst)
+                burst = []
+        if burst:
+            self._write_back(base + (count - len(burst))
+                             * CACHE_LINE_SIZE, burst)
 
     def flush_all(self):
         """Write back and invalidate every resident line."""
@@ -294,10 +311,9 @@ class Cache:
         base = line_base(paddr)
         return base in self._sets[self._set_index(base)]
 
-    def invalidate_line(self, paddr):
-        """Drop a line without writing it back (test helper)."""
-        base = line_base(paddr)
-        self._sets[self._set_index(base)].pop(base, None)
+    def invalidate_line(self, paddr, count=1):
+        """Drop ``count`` consecutive lines without writing them back."""
+        self._take(paddr - paddr % CACHE_LINE_SIZE, count)
 
     # ------------------------------------------------------------------
     # internals
@@ -325,6 +341,24 @@ class Cache:
         line = _Line(base, data, self._tick)
         cache_set[base] = line
         return line
+
+    def _take(self, base, count):
+        """Pop ``count`` lines from ``base`` on; ``None`` where absent."""
+        sets = self._sets
+        first = (base // CACHE_LINE_SIZE) % self.num_sets
+        chosen = sets[first:first + count]
+        while len(chosen) < count:
+            chosen += sets[:count - len(chosen)]
+        return list(map(
+            dict.pop, chosen,
+            range(base, base + count * CACHE_LINE_SIZE, CACHE_LINE_SIZE),
+            repeat(None, count),
+        ))
+
+    def _write_back(self, base, datas):
+        """One controller burst for consecutive dirty lines from ``base``."""
+        self.controller.write_line(base, b"".join(datas))
+        self.writebacks += len(datas)
 
     def _evict_lru(self, cache_set):
         victim_base = min(cache_set, key=lambda b: cache_set[b].stamp)

@@ -12,7 +12,7 @@ dirty L2 victims write back to memory.  ``flush_line`` walks both
 levels top-down.
 """
 
-from repro.common.constants import line_base
+from repro.common.constants import CACHE_LINE_SIZE, line_base
 from repro.cache.cache import Cache
 
 
@@ -28,7 +28,6 @@ class _LevelBackend:
         self.lower = lower
 
     def read_line(self, address):
-        from repro.common.constants import CACHE_LINE_SIZE
         return self.lower.load(address, CACHE_LINE_SIZE)
 
     def write_line(self, address, data):
@@ -81,10 +80,21 @@ class CacheHierarchy:
         """Short-circuit write: L1-resident lines only (else ``False``)."""
         return self.l1.fast_write(paddr, data)
 
-    def flush_line(self, paddr):
-        """Evict from L1 (into L2), then from L2 (into memory)."""
-        self.l1.flush_line(paddr)
-        self.l2.flush_line(paddr)
+    def flush_line(self, paddr, count=1, resident_only=False):
+        """Evict ``count`` lines from L1 (into L2), then from L2 (into memory).
+
+        Line by line, L1 then L2: a dirty L1 line enters L2 through
+        ``store``, which charges cycles and can evict.  With
+        ``resident_only`` a line flushes (and counts) only when it is
+        in either level at its turn.
+        """
+        start = line_base(paddr)
+        for line in range(start, start + count * CACHE_LINE_SIZE,
+                          CACHE_LINE_SIZE):
+            if resident_only and not self.contains(line):
+                continue
+            self.l1.flush_line(line)
+            self.l2.flush_line(line)
 
     def flush_all(self):
         self.l1.flush_all()
@@ -93,9 +103,9 @@ class CacheHierarchy:
     def contains(self, paddr):
         return self.l1.contains(paddr) or self.l2.contains(paddr)
 
-    def invalidate_line(self, paddr):
-        self.l1.invalidate_line(paddr)
-        self.l2.invalidate_line(paddr)
+    def invalidate_line(self, paddr, count=1):
+        self.l1.invalidate_line(paddr, count)
+        self.l2.invalidate_line(paddr, count)
 
     # ------------------------------------------------------------------
     # statistics

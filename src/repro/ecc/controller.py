@@ -207,26 +207,29 @@ class MemoryController:
         return bytes(out)
 
     def write_line(self, address, data):
-        """Write one cache line.
+        """Write a run of consecutive cache lines starting at ``address``.
 
-        With ECC enabled the controller encodes fresh check bits; with
-        ECC disabled (the scramble window) only the data bits change and
-        the old check bits go stale -- the physical effect SafeMem's
-        ``WatchMemory`` exploits.
+        ``len(data)`` gives the run length: any positive whole number
+        of lines, moved as one burst.  With ECC enabled the controller
+        encodes fresh check bits; with ECC disabled (the scramble
+        window) only the data bits change and the old check bits go
+        stale -- the physical effect SafeMem's ``WatchMemory`` exploits.
+        The counters advance once per line, as for single-line writes.
         """
         self._require_line(address)
-        if len(data) != CACHE_LINE_SIZE:
+        lines, partial = divmod(len(data), CACHE_LINE_SIZE)
+        if partial or not lines:
             raise BusError(
-                f"line write must be {CACHE_LINE_SIZE} bytes, "
-                f"got {len(data)}"
+                f"line write must be a positive multiple of "
+                f"{CACHE_LINE_SIZE} bytes, got {len(data)}"
             )
-        self.writes += 1
+        self.writes += lines
         if self.ecc_enabled:
-            # Batched path: check bytes for the whole line in one
+            # Batched path: check bytes for the whole run in one
             # vectorised pass, one burst store for data + codes.
             self.dram.write_groups(address, data,
                                    self.codec.encode_words(data))
-            self.batched_line_writes += 1
+            self.batched_line_writes += lines
         else:
             self.dram.write_groups_data_only(address, data)
 

@@ -17,9 +17,8 @@ import contextlib
 
 from repro.common.constants import (
     CACHE_LINE_SIZE,
-    ECC_GROUP_BYTES,
+    LINES_PER_PAGE,
     PAGE_SIZE,
-    SCRAMBLE_BIT_POSITIONS,
     is_aligned,
     page_base,
 )
@@ -29,41 +28,6 @@ from repro.ecc.scrubber import Scrubber
 from repro.kernel.interrupts import EccFaultInfo, InterruptController
 from repro.kernel.watchregistry import WatchedRegion, WatchRegistry
 from repro.mmu.pagetable import PROT_RW
-
-#: XOR mask that flips the three fixed scramble bits of a 64-bit group.
-SCRAMBLE_MASK = 0
-for _position in SCRAMBLE_BIT_POSITIONS:
-    SCRAMBLE_MASK |= 1 << _position
-del _position
-
-#: The 8-byte scramble mask, replicated per region length on demand so
-#: a whole region scrambles in one wide XOR instead of a per-group loop.
-_SCRAMBLE_MASK_BYTES = SCRAMBLE_MASK.to_bytes(ECC_GROUP_BYTES, "little")
-_WIDE_MASKS = {}
-
-
-def scramble_bytes(data):
-    """Apply (or undo -- XOR is an involution) the scramble signature.
-
-    Flips the three fixed bits of every 64-bit ECC group in ``data``.
-    This is the *default* (SEC-DED) pattern; the kernel and watcher use
-    the controller codec's :meth:`Codec.scramble_bytes` so other
-    chipset profiles scramble with their own verified pattern.  Kept
-    for callers that predate pluggable codecs.
-    """
-    if len(data) % ECC_GROUP_BYTES:
-        raise SyscallError(
-            f"scramble data must be a multiple of {ECC_GROUP_BYTES} bytes"
-        )
-    mask = _WIDE_MASKS.get(len(data))
-    if mask is None:
-        mask = int.from_bytes(
-            _SCRAMBLE_MASK_BYTES * (len(data) // ECC_GROUP_BYTES), "little"
-        )
-        _WIDE_MASKS[len(data)] = mask
-    value = int.from_bytes(data, "little") ^ mask
-    return value.to_bytes(len(data), "little")
-
 
 class Kernel:
     """OS services over the machine's hardware components."""
@@ -138,49 +102,54 @@ class Kernel:
             return self._watch_memory(vaddr, size)
 
     def _watch_memory(self, vaddr, size):
-        lines = self._validate_line_region(vaddr, size)
-        self.clock.tick(self.costs.watch_memory_cost(len(lines)))
+        pages = self._validate_line_region(vaddr, size)
+        self.clock.tick(self.costs.watch_memory_cost(size // CACHE_LINE_SIZE))
 
-        pages = sorted({page_base(line) for line in lines})
-        pinned = []
+        frames = []
         try:
             for page in pages:
-                self._pin_page(page)
-                pinned.append(page)
+                frames.append(self._pin_page(page).pfn * PAGE_SIZE)
         except PinLimitExceeded:
-            for page in pinned:
+            for page in pages[:len(frames)]:
                 self._unpin_page(page)
             raise
 
         line_map = {}
-        for vline in lines:
-            pline = self.mmu.resident_frame(vline)
-            line_map[vline] = pline
+        end = vaddr + size
+        for page, frame in zip(pages, frames):
+            first = max(page, vaddr)
+            last = min(page + PAGE_SIZE, end)
+            line_map.update(zip(
+                range(first, last, CACHE_LINE_SIZE),
+                range(frame + first - page, frame + last - page,
+                      CACHE_LINE_SIZE),
+            ))
 
         region = WatchedRegion(vaddr=vaddr, size=size, lines=line_map)
         try:
             self.watches.add(region)
         except SyscallError:
-            for page in pinned:
+            for page in pages:
                 self._unpin_page(page)
             raise
+        runs = region.runs
 
         # Write back + invalidate so DRAM holds the current data and the
         # next access must reach memory.
-        for pline in line_map.values():
-            self.cache.flush_line(pline)
+        for _, paddr, length in runs:
+            self.cache.flush_line(paddr, length // CACHE_LINE_SIZE)
 
-        # Scramble window: bus locked, ECC off, data-only writes.  The
-        # pattern comes from the controller's codec, so the armed line
-        # decodes as uncorrectable under whatever code this chipset
-        # profile runs.
+        # Scramble window: bus locked, ECC off, data-only writes, one
+        # burst per physical run.  The pattern comes from the
+        # controller's codec, so the armed line decodes as
+        # uncorrectable under whatever code this chipset profile runs.
         scramble = self.controller.codec.scramble_bytes
         self.controller.lock_bus()
         self.controller.disable_ecc()
         try:
-            for pline in line_map.values():
-                current = self.dram.read_raw(pline, CACHE_LINE_SIZE)
-                self.controller.write_line(pline, scramble(current))
+            for _, paddr, length in runs:
+                current = self.dram.read_raw(paddr, length)
+                self.controller.write_line(paddr, scramble(current))
         finally:
             self.controller.enable_ecc()
             self.controller.unlock_bus()
@@ -213,15 +182,14 @@ class Kernel:
         self.clock.tick(self.costs.disable_watch_cost(len(region.lines)))
         self.watches.remove(vaddr)
 
-        for i, (vline, pline) in enumerate(sorted(region.lines.items())):
-            self.cache.invalidate_line(pline)
+        for run_vaddr, paddr, length in region.runs:
+            self.cache.invalidate_line(paddr, length // CACHE_LINE_SIZE)
             if restore_data is not None:
-                chunk = restore_data[
-                    i * CACHE_LINE_SIZE:(i + 1) * CACHE_LINE_SIZE
-                ]
+                offset = run_vaddr - vaddr
+                chunk = restore_data[offset:offset + length]
             else:
-                chunk = self.dram.read_raw(pline, CACHE_LINE_SIZE)
-            self.controller.write_line(pline, chunk)
+                chunk = self.dram.read_raw(paddr, length)
+            self.controller.write_line(paddr, chunk)
 
         for page in region.pages:
             self._unpin_page(page)
@@ -252,10 +220,8 @@ class Kernel:
                 )
         for entry in self.page_table.unmap_region(vaddr, size):
             if entry.present:
-                frame_base = entry.pfn * PAGE_SIZE
-                for line in range(frame_base, frame_base + PAGE_SIZE,
-                                  CACHE_LINE_SIZE):
-                    self.cache.invalidate_line(line)
+                self.cache.invalidate_line(entry.pfn * PAGE_SIZE,
+                                           LINES_PER_PAGE)
                 self.mmu.frames.release(entry.pfn)
             if entry.in_swap:
                 self.mmu.swap.drop(entry.vpn)
@@ -372,6 +338,7 @@ class Kernel:
                 )
             self.pinned_pages += 1
         entry.pin_count += 1
+        return entry
 
     def _unpin_page(self, vaddr):
         entry = self.page_table.lookup(vaddr)
@@ -396,11 +363,13 @@ class Kernel:
                 f"watch size must be a multiple of {CACHE_LINE_SIZE}, "
                 f"got {size}"
             )
-        lines = list(range(vaddr, vaddr + size, CACHE_LINE_SIZE))
-        for line in lines:
-            if self.page_table.lookup(line) is None:
-                raise SyscallError(f"watch on unmapped address {line:#x}")
-        return lines
+        pages = list(range(page_base(vaddr), vaddr + size, PAGE_SIZE))
+        for page in pages:
+            if self.page_table.lookup(page) is None:
+                raise SyscallError(
+                    f"watch on unmapped address {max(page, vaddr):#x}"
+                )
+        return pages
 
     def _count(self, name):
         self.syscall_counts[name] = self.syscall_counts.get(name, 0) + 1

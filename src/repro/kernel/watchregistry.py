@@ -12,7 +12,7 @@ change while it is registered, so the physical index stays valid.
 
 from dataclasses import dataclass, field
 
-from repro.common.constants import CACHE_LINE_SIZE, page_base
+from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE, page_base
 from repro.common.errors import SyscallError
 
 
@@ -22,22 +22,35 @@ class WatchedRegion:
 
     vaddr: int
     size: int
-    #: virtual line base -> physical line base at registration time.
+    #: virtual line base -> physical line base at registration time,
+    #: in virtual line order.
     lines: dict = field(default_factory=dict)
-
-    @property
-    def vline_bases(self):
-        return list(self.lines.keys())
 
     @property
     def pages(self):
         """Base addresses of the virtual pages this region touches."""
-        seen = []
-        for vline in self.lines:
-            base = page_base(vline)
-            if base not in seen:
-                seen.append(base)
-        return seen
+        return list(range(page_base(self.vaddr), self.vaddr + self.size,
+                          PAGE_SIZE))
+
+    @property
+    def runs(self):
+        """``(vaddr, paddr, size)`` of each physically contiguous stretch.
+
+        A page maps to one frame, so a run can only break at a page
+        boundary; pages on adjacent frames share a run.  In address
+        order, covering the region exactly.
+        """
+        runs = []
+        end = self.vaddr + self.size
+        for page in self.pages:
+            first = max(page, self.vaddr)
+            size = min(page + PAGE_SIZE, end) - first
+            paddr = self.lines[first]
+            if runs and runs[-1][1] + runs[-1][2] == paddr:
+                runs[-1][2] += size
+            else:
+                runs.append([first, paddr, size])
+        return [tuple(run) for run in runs]
 
     def __contains__(self, vaddr):
         return self.vaddr <= vaddr < self.vaddr + self.size

@@ -598,9 +598,8 @@ class Machine:
     def _sync_lines(self, paddr, size):
         first = line_base(paddr)
         last = line_base(paddr + size - 1)
-        for line in range(first, last + CACHE_LINE_SIZE, CACHE_LINE_SIZE):
-            if self.cache.contains(line):
-                self.cache.flush_line(line)
+        self.cache.flush_line(first, (last - first) // CACHE_LINE_SIZE + 1,
+                              resident_only=True)
 
     # ------------------------------------------------------------------
     # internals

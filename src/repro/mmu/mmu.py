@@ -8,7 +8,7 @@ Translation is the seam where the two guard mechanisms differ:
   later, in the memory controller, at cache-line granularity.
 """
 
-from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
+from repro.common.constants import LINES_PER_PAGE, PAGE_SIZE
 from repro.common.errors import PageFault, ProtectionFault
 from repro.mmu.pagetable import PROT_READ, PROT_WRITE
 from repro.mmu.swap import EvictionPolicy
@@ -164,8 +164,8 @@ class Mmu:
     def resident_frame(self, vaddr):
         """Physical address of ``vaddr`` if resident, else ``None``.
 
-        Unlike :meth:`translate` this never pages anything in; the
-        kernel uses it for maintenance paths (flushes, scramble).
+        Unlike :meth:`translate` this never pages anything in or
+        charges anything (a tool- and test-level lookup).
         """
         entry = self.page_table.lookup(vaddr)
         if entry is None or not entry.present:
@@ -179,9 +179,7 @@ class Mmu:
         pfn = self.evictor.obtain_frame()
         frame_base = pfn * PAGE_SIZE
         # Drop any stale cache lines from the frame's previous owner.
-        for line in range(frame_base, frame_base + PAGE_SIZE,
-                          CACHE_LINE_SIZE):
-            self.cache.invalidate_line(line)
+        self.cache.invalidate_line(frame_base, LINES_PER_PAGE)
         if entry.in_swap:
             data = self.swap.load(entry.vpn)
             entry.in_swap = False
@@ -189,14 +187,12 @@ class Mmu:
         else:
             data = bytes(PAGE_SIZE)
             self.demand_fills += 1
-        # The fill goes through the controller with ECC enabled, so the
-        # frame ends up with fresh, consistent check bits.  (This is why
-        # an armed-but-unpinned page would lose its watchpoint across a
-        # swap cycle -- the hazard that motivates pinning.)
-        for offset in range(0, PAGE_SIZE, CACHE_LINE_SIZE):
-            self.controller.write_line(
-                frame_base + offset, data[offset:offset + CACHE_LINE_SIZE]
-            )
+        # The fill goes through the controller with ECC enabled, as one
+        # 4 KiB burst, so the frame ends up with fresh, consistent check
+        # bits.  (This is why an armed-but-unpinned page would lose its
+        # watchpoint across a swap cycle -- the hazard that motivates
+        # pinning.)
+        self.controller.write_line(frame_base, data)
         entry.pfn = pfn
         entry.present = True
 

@@ -10,7 +10,6 @@ from repro.cache.cache import Cache
 from repro.ecc.controller import MemoryController
 from repro.ecc.dram import PhysicalMemory
 from repro.ecc.faults import UncorrectableEccError
-from repro.kernel.kernel import scramble_bytes
 
 LINE = bytes(range(CACHE_LINE_SIZE))
 
@@ -107,7 +106,7 @@ class TestEccInteraction:
         controller.write_line(line_addr, LINE)
         controller.lock_bus()
         controller.disable_ecc()
-        controller.write_line(line_addr, scramble_bytes(LINE))
+        controller.write_line(line_addr, controller.codec.scramble_bytes(LINE))
         controller.enable_ecc()
         controller.unlock_bus()
 

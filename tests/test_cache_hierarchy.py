@@ -11,7 +11,6 @@ from repro.core.safemem import SafeMem
 from repro.ecc.controller import MemoryController
 from repro.ecc.dram import PhysicalMemory
 from repro.ecc.faults import UncorrectableEccError
-from repro.kernel.kernel import scramble_bytes
 from repro.machine.machine import Machine
 from repro.machine.program import Program
 
@@ -82,7 +81,7 @@ class TestHierarchyEcc:
         controller.write_line(line_addr, LINE)
         controller.lock_bus()
         controller.disable_ecc()
-        controller.write_line(line_addr, scramble_bytes(LINE))
+        controller.write_line(line_addr, controller.codec.scramble_bytes(LINE))
         controller.enable_ecc()
         controller.unlock_bus()
 

@@ -170,6 +170,16 @@ class TestCodecProperties:
         assert codec.name in codec_names()
 
 
+def test_secded_scramble_mask_is_the_default_pattern():
+    mask = 0
+    for position in SCRAMBLE_BIT_POSITIONS:
+        mask |= 1 << position
+    codec = get_codec("secded")
+    assert codec.scramble_mask == mask
+    assert codec.scramble_bytes(bytes(ECC_GROUP_BYTES)) == mask.to_bytes(
+        ECC_GROUP_BYTES, "little")
+
+
 def test_module_scramble_syndrome_rejects_out_of_range():
     with pytest.raises(ConfigurationError):
         scramble_syndrome((64,))

@@ -10,7 +10,6 @@ from repro.ecc.controller import EccMode, MemoryController
 from repro.ecc.dram import PhysicalMemory
 from repro.ecc.faults import FaultOrigin, FaultSeverity, UncorrectableEccError
 from repro.ecc.scrubber import Scrubber
-from repro.kernel.kernel import scramble_bytes
 
 
 @pytest.fixture
@@ -143,7 +142,7 @@ class TestScrambleWindow:
         controller.write_line(0, LINE)
         controller.lock_bus()
         controller.disable_ecc()
-        controller.write_line(0, scramble_bytes(LINE))
+        controller.write_line(0, controller.codec.scramble_bytes(LINE))
         controller.enable_ecc()
         controller.unlock_bus()
         with pytest.raises(UncorrectableEccError):
@@ -153,7 +152,7 @@ class TestScrambleWindow:
         controller.write_line(0, LINE)
         controller.lock_bus()
         controller.disable_ecc()
-        controller.write_line(0, scramble_bytes(LINE))
+        controller.write_line(0, controller.codec.scramble_bytes(LINE))
         controller.enable_ecc()
         controller.unlock_bus()
         controller.write_line(0, LINE)  # fresh encode

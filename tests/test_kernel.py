@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.common.constants import (
-    CACHE_LINE_SIZE,
-    PAGE_SIZE,
-    SCRAMBLE_BIT_POSITIONS,
-)
+from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.common.errors import MachinePanic, PinLimitExceeded, SyscallError
 from repro.common.events import EventKind
 from repro.ecc.controller import EccMode
-from repro.kernel.kernel import SCRAMBLE_MASK, scramble_bytes
 from repro.machine.machine import Machine
 
 BASE = 0x4000_0000
@@ -28,22 +23,6 @@ def arm(machine, vaddr, size=CACHE_LINE_SIZE):
     original = machine.load(vaddr, size)
     machine.kernel.watch_memory(vaddr, size)
     return original
-
-
-class TestScrambleBytes:
-    def test_mask_matches_positions(self):
-        expected = 0
-        for position in SCRAMBLE_BIT_POSITIONS:
-            expected |= 1 << position
-        assert SCRAMBLE_MASK == expected
-
-    def test_involution(self):
-        data = bytes(range(64))
-        assert scramble_bytes(scramble_bytes(data)) == data
-
-    def test_requires_group_multiple(self):
-        with pytest.raises(SyscallError):
-            scramble_bytes(b"odd")
 
 
 class TestWatchMemory:
@@ -163,7 +142,7 @@ class TestDisableWatchMemory:
         original = arm(machine, BASE)
         machine.kernel.disable_watch_memory(BASE)
         data = machine.load(BASE, CACHE_LINE_SIZE)  # no fault
-        assert data == scramble_bytes(original)
+        assert data == machine.controller.codec.scramble_bytes(original)
 
     def test_disable_with_restore_returns_original(self, machine):
         machine.store(BASE, b"abcdefgh" * 8)
@@ -199,7 +178,7 @@ class TestPeekWatchedLine:
     def test_peek_returns_scrambled_bytes(self, machine):
         original = arm(machine, BASE)
         peeked = machine.kernel.peek_watched_line(BASE)
-        assert peeked == scramble_bytes(original)
+        assert peeked == machine.controller.codec.scramble_bytes(original)
 
     def test_peek_rejects_unwatched(self, machine):
         with pytest.raises(SyscallError):

@@ -61,7 +61,7 @@ class TestMultiPageWatch:
         assert entry.pinned
         # The saved contents survived the round trip: restore them.
         machine.kernel.disable_watch_memory(BASE)
-        from repro.kernel.kernel import scramble_bytes
+        scramble_bytes = machine.controller.codec.scramble_bytes
         data = machine.load(BASE, 7)
         assert scramble_bytes(
             data + bytes(CACHE_LINE_SIZE - 7)
