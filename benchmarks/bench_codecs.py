@@ -1,8 +1,8 @@
 """Micro-benchmark for the pluggable ECC codec backends.
 
 Measures real encode/decode throughput (simulator ops/sec) for every
-registered codec, plus the batched whole-line machine path under each
-chipset profile -- the numbers behind the README's codec table and the
+registered codec, plus whole-line machine loads under each chipset
+profile -- the numbers behind the README's codec table and the
 "which profile can afford which codec" guidance in docs/HARDWARE.md.
 
 Per codec:
@@ -14,7 +14,7 @@ Per codec:
   single-bit error (the scrubber's hot path).
 
 Per profile, ``line_loads_ops_per_sec`` measures whole-line machine
-loads (``run_ops``-style traffic) with the profile's codec installed.
+loads through ``Machine.load`` with the profile's codec installed.
 
 Writes ``BENCH_codecs.json`` at the repo root and prints a summary.
 Run directly (``python benchmarks/bench_codecs.py``) or through pytest
@@ -131,7 +131,7 @@ def build_report():
 def test_bench_codecs():
     report = build_report()
     # Throughput shape, not absolute speed: every backend must sustain
-    # real work on both the scalar and the batched path.
+    # real work on both single-word encode and decode.
     for name, stats in report["codecs"].items():
         assert stats["encode_ops_per_sec"] > 0, name
         assert stats["decode_clean_ops_per_sec"] > 0, name

@@ -150,18 +150,18 @@ class Cache:
         return True
 
     # ------------------------------------------------------------------
-    # span access path (machine batch engine)
+    # span access path (Machine._span_walk's multi-line accesses)
     # ------------------------------------------------------------------
     def load_span(self, paddr, size):
         """Read ``size`` bytes, amortizing per-line Python overhead.
 
         Simulation-equivalent to :meth:`load`: identical hit/miss/LRU
         bookkeeping and cycle charges, applied in the same order.  The
-        only liberty taken is batching the ``cache_hit`` charges of
+        only liberty taken is summing the ``cache_hit`` charges of
         consecutive hits into one ``clock.tick`` -- legal while no
         timers are armed (checked up front and after every miss);
         otherwise each hit charges inline exactly like :meth:`load`.
-        Any miss flushes the batched state first and goes through
+        Any miss settles the deferred hits first and goes through
         :meth:`_access_line`, so fills, evictions, write-backs, and
         ECC faults behave identically to the scalar path.
         """

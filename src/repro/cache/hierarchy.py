@@ -140,7 +140,3 @@ class CacheHierarchy:
             "l2_writebacks": self.l2.writebacks,
         }
 
-
-def is_line_resident(hierarchy, paddr):
-    """True when the line holding ``paddr`` is in any level."""
-    return hierarchy.contains(line_base(paddr))

@@ -14,7 +14,7 @@ from repro.common.constants import align_up, PAGE_SIZE
 from repro.common.errors import ConfigurationError
 from repro.heap.allocator import Allocator
 from repro.heap.callstack import CallStack
-from repro.machine.monitor import Monitor, NullMonitor
+from repro.machine.monitor import NullMonitor
 
 #: Default address-space layout.
 GLOBALS_BASE = 0x1000_0000
@@ -80,49 +80,6 @@ class Program:
         """Store bytes; the monitor sees the access first."""
         self.monitor.before_store(vaddr, len(data))
         self.machine.store(vaddr, data)
-
-    def run_ops(self, plan):
-        """Execute an access plan (see ``Machine.run_ops``).
-
-        Monitors that interpose on accesses (Purify-style
-        ``before_load``/``before_store`` overrides) see every op in
-        plan order through the scalar methods, exactly as if the
-        workload had issued them one by one.  Monitors that do not --
-        SafeMem and the native baseline -- let the whole plan go to the
-        machine's batched engine in one call.
-        """
-        monitor_type = type(self.monitor)
-        if (monitor_type.before_load is Monitor.before_load
-                and monitor_type.before_store is Monitor.before_store):
-            return self.machine.run_ops(plan)
-        results = []
-        for op in plan:
-            kind = op[0]
-            if kind == "load":
-                results.append(self.load(op[1], op[2]))
-            elif kind == "store":
-                self.store(op[1], op[2])
-                results.append(None)
-            else:
-                raise ConfigurationError(
-                    f"unknown op kind {kind!r} in access plan")
-        return results
-
-    def load_batch(self, addrs, size=WORD_SIZE):
-        """Batched word loads through :meth:`run_ops`."""
-        return self.run_ops([("load", vaddr, size) for vaddr in addrs])
-
-    def store_batch(self, addrs, values):
-        """Batched stores through :meth:`run_ops`."""
-        if len(addrs) != len(values):
-            raise ConfigurationError(
-                f"store_batch: {len(addrs)} addresses for "
-                f"{len(values)} values"
-            )
-        self.run_ops([
-            ("store", vaddr, value)
-            for vaddr, value in zip(addrs, values)
-        ])
 
     def load_word(self, vaddr):
         """Load an 8-byte little-endian word (pointer-sized)."""

@@ -39,8 +39,8 @@ class Gzip(Workload):
         self._output_block = b"\xab" * self.block_size
 
     def handle_request(self, program, index, buggy, truth):
-        # Read the next input block (a bulk op: one plan, one call).
-        program.run_ops([("store", self.input_buffer, self._input_block)])
+        # Read the next input block.
+        program.store(self.input_buffer, self._input_block)
 
         # Allocate this block's output buffer.
         with program.frame(OUTPUT_SITE):
@@ -48,20 +48,14 @@ class Gzip(Workload):
         program.set_global(60, output)
 
         # The compression loop: re-read the input, emit the output.
-        # Emitted as one access plan so the machine's batched engine
-        # moves whole blocks per call; op order matches the former
-        # scalar sequence exactly.
         program.compute(self.compute_per_block)
-        plan = [
-            ("load", self.input_buffer, self.block_size),
-            ("store", output, self._output_block),
-        ]
+        program.load(self.input_buffer, self.block_size)
+        program.store(output, self._output_block)
         crafted = buggy and index == self.trigger_block
         if crafted:
             # THE BUG: the crafted block expands by one byte.
             truth.corruption = ("overflow", output + self.block_size)
-            plan.append(("store", output + self.block_size, b"!"))
-        program.run_ops(plan)
+            program.store(output + self.block_size, b"!")
 
         program.free(output)
         program.set_global(60, 0)

@@ -42,12 +42,9 @@ class Tar(Workload):
         fill(program, header, 512)
         program.set_global(60, header)
 
-        # Stream the member body through the reused buffer -- one
-        # bulk access plan (same op order as the former scalar pair).
-        program.run_ops([
-            ("store", self.copy_buffer, self._body_chunk),
-            ("load", self.copy_buffer, self.copy_chunk),
-        ])
+        # Stream the member body through the reused buffer.
+        program.store(self.copy_buffer, self._body_chunk)
+        program.load(self.copy_buffer, self.copy_chunk)
         program.compute(self.compute_per_file)
 
         program.free(header)

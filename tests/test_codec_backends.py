@@ -338,28 +338,33 @@ class TestWatchpointContract:
         with pytest.raises(ConfigurationError):
             machine.dram.flip_check_bit(paddr, 8 * width)
 
-    def test_run_ops_whole_line_spans_are_batching_invariant(self, profile):
-        # The batch engine must produce scalar-identical results under
-        # every codec width (check storage per group varies).
-        plan = [("store", BASE + i * CACHE_LINE_SIZE,
-                 bytes([i % 251]) * CACHE_LINE_SIZE) for i in range(48)]
-        plan += [("load", BASE + i * CACHE_LINE_SIZE, CACHE_LINE_SIZE)
-                 for i in range(48)]
-        plan += [("store", BASE + 60, b"straddle!"),
-                 ("load", BASE, 2 * PAGE_SIZE)]
-        outcomes = []
-        for enabled in (True, False):
-            machine = _machine(profile)
-            previous = Machine.batching_enabled
-            Machine.batching_enabled = enabled
-            try:
-                results = machine.run_ops(plan)
-            finally:
-                Machine.batching_enabled = previous
-            outcomes.append((machine, results))
-        (batched, b_results), (scalar, s_results) = outcomes
-        assert b_results == s_results
-        assert batched.clock.cycles == scalar.clock.cycles
+    def test_load_store_whole_line_and_straddling_spans_round_trip(
+            self, profile):
+        # Whole-line, line-straddling and two-page accesses return the
+        # stored bytes under every codec width (check storage per group
+        # varies), from the cache and again after a flush sends every
+        # line through the codec's encode and decode.
+        machine = _machine(profile)
+        model = bytearray(2 * PAGE_SIZE)
+        for i in range(48):
+            start = i * CACHE_LINE_SIZE
+            data = bytes([i % 251]) * CACHE_LINE_SIZE
+            machine.store(BASE + start, data)
+            model[start:start + CACHE_LINE_SIZE] = data
+        for i in range(48):
+            start = i * CACHE_LINE_SIZE
+            assert (machine.load(BASE + start, CACHE_LINE_SIZE)
+                    == model[start:start + CACHE_LINE_SIZE])
+        assert machine.fast_loads >= 48
+        machine.store(BASE + 60, b"straddle!")
+        model[60:69] = b"straddle!"
+        assert machine.load(BASE, 2 * PAGE_SIZE) == bytes(model)
+        for page in range(2):
+            paddr = machine.mmu.translate(BASE + page * PAGE_SIZE)
+            machine.cache.flush_line(paddr, PAGE_SIZE // CACHE_LINE_SIZE)
+        reads = machine.controller.reads
+        assert machine.load(BASE, 2 * PAGE_SIZE) == bytes(model)
+        assert machine.controller.reads > reads
 
 
 class TestStackAndFleetWiring:

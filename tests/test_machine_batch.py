@@ -1,14 +1,13 @@
-"""Tests for the batched execution engine (Machine.run_ops).
+"""Differential tests of the machine's access path (Machine.load/store).
 
-The engine's contract is *simulation equivalence*: a plan executed
-batched must produce the same results, the same cycle count, the same
-event stream, and the same detector-visible behavior as the same ops
-issued one by one through the per-line scalar reference walk
-(:func:`_scalar_walk`, which also checks the span walk every slow
-access takes).  The differential tests here pin that contract directly
-by running twin machines; the edge-case
-tests cover the paths where the engine must leave its hot loop
-(demand fills, swap-ins, armed lines, degenerate plans).
+The contract is *simulation equivalence*: a sequence of accesses
+through ``load``/``store`` -- the TLB-hit short-circuit or the span
+walk -- must produce the same results, the same cycle count, the same
+event stream, and the same detector-visible behavior as the same
+accesses through the per-line scalar reference walk
+(:func:`_scalar_walk`).  The differential tests here pin that contract
+directly by running twin machines; the edge-case tests cover demand
+fills, swap-ins, armed lines and degenerate sizes.
 """
 
 import types
@@ -16,7 +15,6 @@ import types
 import pytest
 
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE, align_down
-from repro.common.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.machine.program import Program
 from repro.workloads.gzip_ import Gzip
@@ -72,38 +70,45 @@ def _event_trace(machine):
     return [(e.kind, e.cycle, e.address) for e in machine.events.query()]
 
 
-def _run_twins(plan, prepare=None, machine_kwargs=None, batched=True):
+def _execute(machine, plan):
+    """Issue ``plan`` op by op: ``("load", vaddr, size)`` returns the
+    loaded bytes, ``("store", vaddr, data)`` returns ``None``."""
+    results = []
+    for kind, vaddr, arg in plan:
+        if kind == "load":
+            results.append(machine.load(vaddr, arg))
+        else:
+            machine.store(vaddr, arg)
+            results.append(None)
+    return results
+
+
+def _run_twins(plan, prepare=None, machine_kwargs=None):
     """Run ``plan`` on a machine and on the per-line scalar reference.
 
-    The subject machine runs the plan through the batched engine (or,
-    with ``batched=False``, op by op through ``load``/``store``); the
-    reference runs it op by op through :func:`_scalar_walk`.  Returns
-    ``(subject_machine, reference_machine, subject_results,
-    reference_results)`` after asserting the equivalence contract.
+    The subject machine runs the plan op by op through
+    ``load``/``store``; the reference runs it op by op through
+    :func:`_scalar_walk`.  Returns ``(subject_machine,
+    reference_machine, subject_results, reference_results)`` after
+    asserting the equivalence contract.
     """
     outcomes = []
-    for enabled in (batched, False):
+    for reference in (False, True):
         machine = _machine(**(machine_kwargs or {}))
-        if outcomes:
+        if reference:
             _use_scalar_reference(machine)
         if prepare is not None:
             prepare(machine)
-        original = Machine.batching_enabled
-        Machine.batching_enabled = enabled
-        try:
-            results = machine.run_ops(plan)
-        finally:
-            Machine.batching_enabled = original
-        outcomes.append((machine, results))
-    (batched, b_results), (scalar, s_results) = outcomes
-    assert b_results == s_results
-    assert batched.clock.cycles == scalar.clock.cycles
-    assert _event_trace(batched) == _event_trace(scalar)
-    assert batched.cache.hits == scalar.cache.hits
-    assert batched.cache.misses == scalar.cache.misses
-    assert batched.cache.writebacks == scalar.cache.writebacks
-    assert batched.cache.evictions == scalar.cache.evictions
-    return batched, scalar, b_results, s_results
+        outcomes.append((machine, _execute(machine, plan)))
+    (subject, results), (scalar, s_results) = outcomes
+    assert results == s_results
+    assert subject.clock.cycles == scalar.clock.cycles
+    assert _event_trace(subject) == _event_trace(scalar)
+    assert subject.cache.hits == scalar.cache.hits
+    assert subject.cache.misses == scalar.cache.misses
+    assert subject.cache.writebacks == scalar.cache.writebacks
+    assert subject.cache.evictions == scalar.cache.evictions
+    return subject, scalar, results, s_results
 
 
 class TestDifferentialEquivalence:
@@ -113,8 +118,8 @@ class TestDifferentialEquivalence:
         plan += [("load", BASE + i * 8, 8) for i in range(1500)]
         plan += [("store", BASE + 5, b"\x99" * 3000),
                  ("load", BASE, 3 * PAGE_SIZE)]
-        batched, _, results, _ = _run_twins(plan)
-        assert batched.batched_loads + batched.batched_stores > 0
+        subject, _, results, _ = _run_twins(plan)
+        assert subject.fast_loads + subject.fast_stores > 0
         assert results[-1][5:8] == b"\x99" * 3
 
     def test_two_level_hierarchy_identical(self):
@@ -142,14 +147,12 @@ class TestWorkloadDifferential:
 
     @pytest.mark.parametrize("workload_cls", [Gzip, Tar])
     @pytest.mark.parametrize("monitor_name", ["native", "safemem"])
-    def test_run_is_batching_invariant(self, monkeypatch, workload_cls,
-                                       monitor_name):
+    def test_run_is_batching_invariant(self, workload_cls, monitor_name):
         from repro.analysis.runner import make_monitor
 
-        def run(enabled):
-            monkeypatch.setattr(Machine, "batching_enabled", enabled)
+        def run(reference):
             machine = Machine(cache_levels=2)
-            if not enabled:
+            if reference:
                 _use_scalar_reference(machine)
             program = Program(machine, monitor=make_monitor(monitor_name))
             workload = workload_cls(requests=30)
@@ -160,13 +163,13 @@ class TestWorkloadDifferential:
             truth = workload.run(program, buggy=True)
             return machine, truth
 
-        batched_machine, batched_truth = run(True)
-        scalar_machine, scalar_truth = run(False)
-        assert batched_machine.clock.cycles == scalar_machine.clock.cycles
-        assert _event_trace(batched_machine) == _event_trace(scalar_machine)
-        assert (batched_truth.detection is None) == \
+        subject_machine, subject_truth = run(reference=False)
+        scalar_machine, scalar_truth = run(reference=True)
+        assert subject_machine.clock.cycles == scalar_machine.clock.cycles
+        assert _event_trace(subject_machine) == _event_trace(scalar_machine)
+        assert (subject_truth.detection is None) == \
             (scalar_truth.detection is None)
-        assert batched_truth.cycle_marks == scalar_truth.cycle_marks
+        assert subject_truth.cycle_marks == scalar_truth.cycle_marks
         if monitor_name == "safemem":
             # The detector verdict itself must match, not just cycles.
             assert scalar_truth.detection is not None
@@ -174,8 +177,7 @@ class TestWorkloadDifferential:
     @pytest.mark.parametrize("buggy", [False, True],
                              ids=["normal", "buggy"])
     @pytest.mark.parametrize("app", all_workload_names())
-    def test_table1_app_matches_scalar_reference(self, monkeypatch, app,
-                                                 buggy):
+    def test_table1_app_matches_scalar_reference(self, app, buggy):
         from repro.analysis.runner import (
             CACHE_SIZE,
             DRAM_SIZE,
@@ -186,7 +188,6 @@ class TestWorkloadDifferential:
         requests = _DIFFERENTIAL_REQUESTS.get(app, 300)
 
         def run(reference):
-            monkeypatch.setattr(Machine, "batching_enabled", not reference)
             machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
                               cache_ways=16)
             if reference:
@@ -218,7 +219,7 @@ class TestWorkloadDifferential:
 class TestBatchEdgeCases:
     def test_demand_fill_mid_batch(self):
         # Pages beyond the first are untouched before the plan runs, so
-        # the batch itself must trigger their demand fills.
+        # the plan itself must trigger their demand fills.
         def prepare(machine):
             machine.store(BASE, b"warm")
 
@@ -227,8 +228,8 @@ class TestBatchEdgeCases:
                  for page in range(1, 8)]
         plan += [("load", BASE + page * PAGE_SIZE + 128, 64)
                  for page in range(1, 8)]
-        batched, _, _, _ = _run_twins(plan, prepare=prepare)
-        assert batched.mmu.demand_fills >= 7
+        subject, _, _, _ = _run_twins(plan, prepare=prepare)
+        assert subject.mmu.demand_fills >= 7
 
     def test_batch_crossing_swap_evicted_page(self):
         kwargs = {"dram_size": 16 * PAGE_SIZE, "cache_size": 4 * 1024,
@@ -243,9 +244,9 @@ class TestBatchEdgeCases:
 
         plan = [("load", BASE + i * PAGE_SIZE, 8) for i in range(24)]
         plan += [("load", BASE + PAGE_SIZE - 16, 32)]  # page-crossing
-        batched, _, results, _ = _run_twins(
+        subject, _, results, _ = _run_twins(
             plan, prepare=prepare, machine_kwargs=kwargs)
-        assert batched.swap.swap_ins > 0
+        assert subject.swap.swap_ins > 0
         for i in range(24):
             assert results[i] == bytes([i]) * 8
 
@@ -266,15 +267,13 @@ class TestBatchEdgeCases:
 
         plan = [("load", BASE + i * CACHE_LINE_SIZE, 32)
                 for i in range(32)]
-        batched, scalar, _, _ = _run_twins(plan, prepare=prepare)
+        subject, scalar, _, _ = _run_twins(plan, prepare=prepare)
         # The watchpoint fired exactly once on both paths.
         assert len(fired) == 2  # one per twin machine
-        assert batched.kernel.ecc_traps == scalar.kernel.ecc_traps == 1
+        assert subject.kernel.ecc_traps == scalar.kernel.ecc_traps == 1
 
-    @pytest.mark.parametrize("batched", [True, False],
-                             ids=["batched", "scalar"])
     @pytest.mark.parametrize("write", [False, True], ids=["load", "store"])
-    def test_fault_mid_span_matches_reference(self, batched, write):
+    def test_fault_mid_span_matches_reference(self, write):
         # One access spans four lines on two pages; the third line is
         # armed, so the walk faults after two hits in the same page
         # chunk and retries.
@@ -299,18 +298,12 @@ class TestBatchEdgeCases:
                     ("load", start, 4 * CACHE_LINE_SIZE - 16)]
         else:
             plan = [("load", start, 4 * CACHE_LINE_SIZE - 16)]
-        subject, reference, results, _ = _run_twins(
-            plan, prepare=prepare, batched=batched)
+        subject, reference, results, _ = _run_twins(plan, prepare=prepare)
         assert fired == [armed, armed]  # one per twin machine
         assert subject.kernel.ecc_traps == reference.kernel.ecc_traps == 1
         expected = (b"\x5a" * (4 * CACHE_LINE_SIZE - 16) if write
                     else bytes(range(4 * CACHE_LINE_SIZE - 16)))
         assert results[-1] == expected
-
-    def test_empty_plan(self):
-        machine = _machine()
-        assert machine.run_ops([]) == []
-        assert machine.clock.cycles == 0
 
     def test_single_element_batch(self):
         _run_twins([("store", BASE, b"only")])
@@ -319,49 +312,9 @@ class TestBatchEdgeCases:
     def test_zero_size_ops_match_scalar_semantics(self):
         plan = [("load", BASE, 0), ("store", BASE, b""),
                 ("load", BASE, 8)]
-        batched, _, results, _ = _run_twins(plan)
+        subject, _, results, _ = _run_twins(plan)
         assert results[0] == b""
         assert results[1] is None
-        # Degenerate sizes route through the scalar path (and count
-        # there), exactly like direct load/store calls.
-        assert batched.slow_loads >= 1
-        assert batched.slow_stores >= 1
-
-    def test_unknown_op_kind_rejected(self):
-        machine = _machine()
-        with pytest.raises(ConfigurationError):
-            machine.run_ops([("jump", BASE, 8)])
-
-    def test_load_store_batch_conveniences(self):
-        machine = _machine()
-        addrs = [BASE + i * 8 for i in range(64)]
-        values = [bytes([i]) * 8 for i in range(64)]
-        machine.store_batch(addrs, values)
-        assert machine.load_batch(addrs) == values
-        with pytest.raises(ConfigurationError):
-            machine.store_batch(addrs, values[:-1])
-
-    def test_program_batch_api_scalarizes_for_access_monitors(self):
-        # A Purify-style monitor overrides before_load/before_store;
-        # Program.run_ops must keep feeding it per-op calls.
-        seen = []
-
-        from repro.machine.monitor import Monitor
-
-        class Spy(Monitor):
-            name = "spy"
-
-            def before_load(self, vaddr, size):
-                seen.append(("load", vaddr, size))
-
-            def before_store(self, vaddr, size):
-                seen.append(("store", vaddr, size))
-
-        machine = Machine(dram_size=4 * 1024 * 1024)
-        program = Program(machine, monitor=Spy())
-        plan = [("store", program.heap_base, b"x" * 8),
-                ("load", program.heap_base, 8)]
-        program.run_ops(plan)
-        assert seen == [("store", program.heap_base, 8),
-                        ("load", program.heap_base, 8)]
-        assert machine.batched_loads == machine.batched_stores == 0
+        # Degenerate sizes skip the short-circuit and count as slow.
+        assert subject.slow_loads >= 1
+        assert subject.slow_stores >= 1

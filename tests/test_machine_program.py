@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.costs import default_cost_model
-from repro.common.errors import MachinePanic
+from repro.common.errors import ConfigurationError, MachinePanic
 from repro.machine.machine import Machine
 from repro.machine.monitor import Monitor, NullMonitor
 from repro.machine.program import Program
@@ -128,6 +128,18 @@ class TestFaultRetryPath:
         with pytest.raises(MachinePanic) as exc_info:
             program.load(line, 1)
         assert "retries" in str(exc_info.value)
+
+    def test_negative_size_load_rejected(self, machine):
+        """A negative size is rejected like ``Cache.load`` rejects it,
+        on a hot line and a cold one, without touching the clock."""
+        program = Program(machine, heap_size=1024 * 1024)
+        addr = program.malloc(64)
+        program.store(addr, b"warm")
+        before = machine.clock.cycles
+        for vaddr in (addr, addr + 4096):
+            with pytest.raises(ConfigurationError, match="negative"):
+                machine.load(vaddr, -4)
+        assert machine.clock.cycles == before
 
     def test_read_virtual_raw_sees_dirty_cache_data(self, machine):
         program = Program(machine, heap_size=1024 * 1024)

@@ -1,13 +1,12 @@
 """Stateful property test: an armed line is never resident in any cache.
 
-The machine's short-circuit access path and the batch engine serve any
-resident line without consulting the watch registry, so the
-watchpoint contract rests on one invariant: no armed line is ever
-resident in any cache level.  ``WatchMemory`` flushes every line it
-arms, an armed line's fill raises before the line is installed, and
-DMA and scrubbing flush or invalidate what they touch.  This random
-interleaving of those operations with loads, stores and batched plans
-checks the invariant after every step, on the single cache and on the
+The machine's short-circuit access path serves any resident line
+without consulting the watch registry, so the watchpoint contract
+rests on one invariant: no armed line is ever resident in any cache
+level.  ``WatchMemory`` flushes every line it arms, an armed line's
+fill raises before the line is installed, and DMA and scrubbing flush
+or invalidate what they touch.  This random interleaving of those
+operations with loads and stores checks the invariant after every step, on the single cache and on the
 two-level hierarchy, and checks every loaded byte against a model.
 """
 
@@ -129,26 +128,6 @@ class ResidencyMachine(RuleBasedStateMachine):
         data = bytes([fill]) * size
         self.machine.store(BASE + start, data)
         self.model[start:start + size] = data
-
-    @rule(ops=st.lists(
-        st.tuples(st.booleans(), lines,
-                  st.integers(-CACHE_LINE_SIZE, CACHE_LINE_SIZE),
-                  st.integers(1, MAX_ACCESS), st.integers(0, 255)),
-        min_size=1, max_size=8))
-    def batch(self, ops):
-        plan = []
-        expected = []
-        for write, line, offset, size, fill in ops:
-            start, size = self._span(line, offset, size)
-            if write:
-                data = bytes([fill]) * size
-                plan.append(("store", BASE + start, data))
-                self.model[start:start + size] = data
-                expected.append(None)
-            else:
-                plan.append(("load", BASE + start, size))
-                expected.append(bytes(self.model[start:start + size]))
-        assert self.machine.run_ops(plan) == expected
 
     @rule(source=lines, destination=lines)
     def dma(self, source, destination):
